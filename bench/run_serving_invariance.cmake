@@ -1,8 +1,8 @@
 # Pins the thread-invariance determinism contract shared by the campaign
 # benches (bench_fault_availability, bench_sim_throughput,
-# bench_serving_tail, bench_serving_topology, bench_kernel_sweep): the JSON
-# trajectory — including every deterministic section ("obs", "faults",
-# "sim", "serving", "topology", "kernels") — must be bitwise identical for
+# bench_serving_topology, bench_kernel_sweep): the JSON trajectory —
+# including every deterministic section ("obs", "faults", "sim",
+# "topology", "kernels") — must be bitwise identical for
 # --threads 1, 2 and 8. Only host timing (wall_seconds) and the echoed
 # thread count may differ, so both lines are always stripped before
 # comparing; benches that additionally report host-timed rates (e.g. the
@@ -13,15 +13,13 @@
 # is also compared against the checked-in reference JSON with acs-bench-diff
 # under generous thresholds — the regression gate.
 # Inputs: -DBENCH=<bench binary> -DJSON_DIR=<scratch dir>
-#         [-DPREFIX=<output-file prefix, default "serving">]
+#         -DPREFIX=<output-file prefix, e.g. "topology">
 #         [-DSTRIP_FIELDS=<;-list of host-timed field names to strip>]
 #         [-DDIFF=<acs-bench-diff> -DREFERENCE=<baseline json>]
 
-if(NOT DEFINED BENCH OR NOT DEFINED JSON_DIR)
-  message(FATAL_ERROR "run_serving_invariance.cmake needs BENCH and JSON_DIR")
-endif()
-if(NOT DEFINED PREFIX)
-  set(PREFIX "serving")
+if(NOT DEFINED BENCH OR NOT DEFINED JSON_DIR OR NOT DEFINED PREFIX)
+  message(FATAL_ERROR
+          "run_serving_invariance.cmake needs BENCH, JSON_DIR and PREFIX")
 endif()
 if(NOT DEFINED STRIP_FIELDS)
   set(STRIP_FIELDS "")

@@ -16,7 +16,6 @@ set(ACS_SMOKE_BENCHES
   bench_ablation
   bench_fault_availability
   bench_sim_throughput
-  bench_serving_tail
   bench_serving_topology
   bench_micro_pa
   bench_obs_overhead
@@ -71,26 +70,12 @@ add_test(NAME bench_kernels_invariance
 set_tests_properties(bench_kernels_invariance PROPERTIES
                      LABELS "bench_smoke" TIMEOUT 600)
 
-# Thread-invariance pin for the serving tail-latency bench: the trajectory
-# — including the full "serving" percentile section — must be bitwise
-# identical at --threads 1, 2 and 8, and the threads=1 run must stay within
-# generous acs-bench-diff thresholds of the checked-in reference trajectory
-# (the tail-latency regression gate).
-add_test(NAME bench_serving_invariance
-         COMMAND ${CMAKE_COMMAND}
-                 -DBENCH=$<TARGET_FILE:bench_serving_tail>
-                 -DJSON_DIR=${CMAKE_CURRENT_BINARY_DIR}
-                 -DDIFF=$<TARGET_FILE:acs-bench-diff>
-                 -DREFERENCE=${CMAKE_CURRENT_SOURCE_DIR}/reference/BENCH_serving_tail_smoke.json
-                 -P ${CMAKE_CURRENT_SOURCE_DIR}/run_serving_invariance.cmake)
-set_tests_properties(bench_serving_invariance PROPERTIES
-                     LABELS "bench_smoke" TIMEOUT 600)
-
-# Thread-invariance + regression pin for the multi-tier topology bench:
-# same contract as bench_serving_invariance (bitwise-identical trajectories
-# at --threads 1/2/8, then acs-bench-diff against the checked-in reference)
-# over the "topology" section — including the per-phase goodput split that
-# shows the unmitigated retry storm going metastable.
+# Thread-invariance + regression pin for the serving topology bench: the
+# trajectory must be bitwise identical at --threads 1/2/8, and the
+# threads=1 run must stay within generous acs-bench-diff thresholds of the
+# checked-in reference over the "topology" section — the single-pool tail
+# arms' percentiles (the tail-latency regression gate) and the per-phase
+# goodput split that shows the unmitigated retry storm going metastable.
 add_test(NAME bench_topology_invariance
          COMMAND ${CMAKE_COMMAND}
                  -DBENCH=$<TARGET_FILE:bench_serving_topology>

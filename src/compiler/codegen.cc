@@ -158,8 +158,13 @@ class FunctionLowerer {
 
   [[nodiscard]] std::string local_label(std::size_t op_index,
                                         const char* tag) const {
-    return "L" + std::to_string(fn_index_) + "_" + std::to_string(op_index) +
-           "_" + tag;
+    std::string label = "L";
+    label += std::to_string(fn_index_);
+    label += '_';
+    label += std::to_string(op_index);
+    label += '_';
+    label += tag;
+    return label;
   }
 
   [[nodiscard]] std::string epilogue_label() const {

@@ -14,7 +14,9 @@ bool Program::is_function_entry(u64 addr) const noexcept {
 std::string reg_name(Reg r) {
   if (r == Reg::kSp) return "sp";
   if (r == Reg::kXzr) return "xzr";
-  return "x" + std::to_string(static_cast<unsigned>(r));
+  std::string name = "x";
+  name += std::to_string(static_cast<unsigned>(r));
+  return name;
 }
 
 }  // namespace acs::sim

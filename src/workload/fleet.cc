@@ -13,7 +13,7 @@
 #include "kernel/machine.h"
 #include "obs/recorder.h"
 #include "sim/cycle_model.h"
-#include "sim/fault.h"
+#include "workload/attempt.h"
 
 namespace acs::workload {
 
@@ -159,20 +159,16 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
                 .payload = guess_base + attempt,
             });
           }
-          inject::Engine engine(std::move(engine_config));
-
-          kernel::MachineOptions options;
-          options.seed = policy.mode == RestartMode::kRestartRekey
-                             ? exec::trial_seed(slot_salt, attempt)
-                             : master_key_seed;
-          options.recorder = recorder.get();
-          options.injector = &engine;
           const u64 attempt_start = outcome.wall_cycles;
-          kernel::Machine machine(master, options);
-          const kernel::Stop stop = machine.run(config.attempt_instr_budget);
-          const auto& process = machine.init_process();
-          outcome.wall_cycles += process.cycles();
-          outcome.inj.merge(engine.summary());
+          const AttemptOutcome run = run_attempt(
+              master,
+              policy.mode == RestartMode::kRestartRekey
+                  ? exec::trial_seed(slot_salt, attempt)
+                  : master_key_seed,
+              std::move(engine_config), config.attempt_instr_budget,
+              recorder.get());
+          outcome.wall_cycles += run.cycles;
+          outcome.inj.merge(run.injected);
           if (supervisor != nullptr) {
             // The executing span covers this generation in the slot's wall
             // clock; the machine's own tracks carry the intra-attempt
@@ -181,12 +177,10 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
                                    attempt_start);
             supervisor->span_end(obs::SpanName::kExecuting, slot,
                                  outcome.wall_cycles);
-            supervisor->cow_pages(process.mem.private_pages());
+            supervisor->cow_pages(run.cow_pages);
           }
 
-          if (stop.reason != kernel::StopReason::kMaxInstructions &&
-              process.state == kernel::ProcessState::kExited &&
-              process.exit_code == 0) {
+          if (!run.crashed) {
             outcome.completed = config.requests_per_worker;
             if (supervisor != nullptr) {
               supervisor->span_instant(obs::SpanName::kCompleted, slot,
@@ -194,12 +188,7 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
             }
             break;
           }
-          const std::string cause =
-              process.state == kernel::ProcessState::kKilled
-                  ? sim::fault_name(process.kill_fault.kind)
-                  : (process.state == kernel::ProcessState::kLive
-                         ? "hang"
-                         : "exit-nonzero");
+          const std::string cause = crash_cause(run);
           ++outcome.crashes[cause];
           if (supervisor != nullptr) {
             supervisor->span_instant(obs::SpanName::kCrashed, slot,
@@ -207,7 +196,7 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
           }
           if (outcome.fail_detail.empty()) {
             outcome.fail_detail =
-                "pid " + std::to_string(process.pid()) + ", scheme " +
+                "pid " + std::to_string(run.pid) + ", scheme " +
                 std::string(compiler::scheme_name(scheme)) +
                 ", cause=" + cause;
           }

@@ -12,10 +12,23 @@
 #include "kernel/machine.h"
 #include "obs/recorder.h"
 #include "sim/cycle_model.h"
+#include "workload/attempt.h"
 #include "workload/nginx_sim.h"
 #include "workload/serving.h"
 
 namespace acs::workload {
+
+const std::vector<ServiceClass>& default_service_classes() {
+  // Weights sum to 1000. The 1.1% huge tail is what pushes p999 an order
+  // of magnitude past p50 even before queueing delay.
+  static const std::vector<ServiceClass> classes = {
+      {"small", 4, 799},
+      {"medium", 16, 150},
+      {"large", 64, 40},
+      {"huge", 256, 11},
+  };
+  return classes;
+}
 
 const char* mitigation_name(Mitigation mitigation) noexcept {
   switch (mitigation) {
@@ -48,12 +61,13 @@ void apply_mitigation(TopologyConfig& config, Mitigation mitigation) {
 
 namespace {
 
-/// Decorrelates the per-request streams from the arrival-process stream
-/// (distinct from serving.cc's salts — independent universes).
+/// Decorrelates the per-request streams from the arrival-process stream.
 constexpr u64 kTopoRequestSalt = 0x746f'706f'2672'6571ULL;
 constexpr u64 kTopoArrivalSalt = 0x746f'706f'2661'7272ULL;
 
-struct AttemptOutcome {
+/// What stage 2 needs of one precomputed attempt; `cycles` is the
+/// worker's occupancy (at least 1, and a hang costs the hang timeout).
+struct TierAttempt {
   u64 cycles = 0;
   u64 cow_pages = 0;
   bool crashed = false;
@@ -62,8 +76,8 @@ struct AttemptOutcome {
 /// Precomputed machine outcomes for one (request, tier, attempt slot):
 /// the normal variant and — on the storm tier — the stormed variant.
 struct SlotOutcome {
-  AttemptOutcome normal;
-  AttemptOutcome stormed;
+  TierAttempt normal;
+  TierAttempt stormed;
 };
 
 struct RequestPre {
@@ -152,6 +166,10 @@ struct GaugeDelta {
 
 constexpr u16 kLbTrack = ~u16{0};
 
+/// Ceiling on one run's gauge sweep. A sane run needs a few hundred
+/// samples; a saturated backoff ladder can push the makespan towards 2^64.
+constexpr u64 kMaxGaugeSamples = u64{1} << 20;
+
 }  // namespace
 
 TopologyResult run_topology_simulation(compiler::Scheme scheme,
@@ -201,8 +219,9 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
                          kernel::MachineOptions{});
   }
 
-  // Calibration, exactly like serving.cc: weighted mean service cycles of
-  // one clean fork per class sets the arrival rate for the offered load.
+  // Calibration: the weighted mean service cycles of one clean fork per
+  // class sets the arrival rate for the offered load. Integer-only and
+  // sequential, hence thread-invariant.
   u64 mean_service = 0;
   u64 weight_total = 0;
   for (std::size_t i = 0; i < classes.size(); ++i) {
@@ -255,9 +274,8 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
             seeder.next_below(1000) < config.low_priority_permille;
         out.slots.resize(static_cast<std::size_t>(tiers) * slots_per_tier);
 
-        const auto run_attempt = [&](u64 machine_seed, u64 plan_seed,
-                                     bool stormed) {
-          inject::Engine::Config engine_config;
+        const auto tier_attempt = [&](u64 machine_seed, u64 plan_seed,
+                                      bool stormed) {
           inject::PlanConfig plan_config;
           plan_config.seed = plan_seed;
           plan_config.horizon = config.attempt_instr_budget;
@@ -274,34 +292,25 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
             plan_config.burst_mean_interval =
                 static_cast<u64>(1e6 / config.storm_faults_per_million);
           }
+          inject::Engine::Config engine_config;
           if (plan_config.mean_interval != 0 ||
               plan_config.burst_mean_interval != 0) {
             engine_config.plan = inject::make_plan(plan_config);
           }
-          inject::Engine engine(std::move(engine_config));
-
-          kernel::MachineOptions options;
-          options.seed = machine_seed;  // fresh keys every attempt (rekey)
-          options.injector = &engine;
-          kernel::Machine machine(masters[out.cls], options);
-          const kernel::Stop stop = machine.run(config.attempt_instr_budget);
-          const auto& process = machine.init_process();
-          AttemptOutcome outcome;
-          outcome.cycles = std::max<u64>(1, process.cycles());
-          outcome.cow_pages = process.mem.private_pages();
-          outcome.crashed =
-              stop.reason == kernel::StopReason::kMaxInstructions ||
-              process.state != kernel::ProcessState::kExited ||
-              process.exit_code != 0;
+          // Fresh keys every attempt (rekey).
+          const AttemptOutcome run =
+              run_attempt(masters[out.cls], machine_seed,
+                          std::move(engine_config),
+                          config.attempt_instr_budget);
+          TierAttempt attempt;
+          attempt.cycles = std::max<u64>(1, run.cycles);
+          attempt.cow_pages = run.cow_pages;
+          attempt.crashed = run.crashed;
           // Hangs (runaways and injected watchdog kills) hold the worker
           // until the supervisor's hang timeout fires; clean crashes are
           // detected immediately.
-          const bool hung =
-              stop.reason == kernel::StopReason::kMaxInstructions ||
-              (process.state == kernel::ProcessState::kKilled &&
-               process.kill_fault.kind == sim::FaultKind::kInstrBudget);
-          if (hung) outcome.cycles = std::max(outcome.cycles, hang_timeout);
-          return outcome;
+          if (run.hung) attempt.cycles = std::max(attempt.cycles, hang_timeout);
+          return attempt;
         };
 
         for (unsigned t = 0; t < tiers; ++t) {
@@ -311,14 +320,14 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
             SlotOutcome& slot = out.slots[static_cast<std::size_t>(t) *
                                               slots_per_tier +
                                           a];
-            slot.normal = run_attempt(exec::trial_seed(slot_salt, idx),
-                                      exec::trial_seed(slot_salt ^ 0xfa, idx),
-                                      /*stormed=*/false);
+            slot.normal = tier_attempt(exec::trial_seed(slot_salt, idx),
+                                       exec::trial_seed(slot_salt ^ 0xfa, idx),
+                                       /*stormed=*/false);
             if (storm_configured && t == config.storm_tier) {
               slot.stormed =
-                  run_attempt(exec::trial_seed(slot_salt, idx + 1),
-                              exec::trial_seed(slot_salt ^ 0xfa, idx + 1),
-                              /*stormed=*/true);
+                  tier_attempt(exec::trial_seed(slot_salt, idx + 1),
+                               exec::trial_seed(slot_salt ^ 0xfa, idx + 1),
+                               /*stormed=*/true);
             }
           }
         }
@@ -338,7 +347,8 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
     result.drops[cause] = 0;
   }
 
-  // Open-loop arrivals (mean-preserving integer jitter, as in serving.cc).
+  // Open-loop arrivals: integer interarrival gaps uniform in
+  // [1, 2*mean-1] (mean-preserving jitter), drawn sequentially.
   Rng arrivals_rng(config.seed ^ kTopoArrivalSalt);
   std::vector<u64> arrival(config.requests, 0);
   u64 clock = 0;
@@ -506,7 +516,7 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
       const SlotOutcome& so =
           p.slots[static_cast<std::size_t>(tier) * slots_per_tier +
                   std::min<unsigned>(slot, slots_per_tier - 1)];
-      const AttemptOutcome& outcome =
+      const TierAttempt& outcome =
           in_storm(tier, pool, ts) ? so.stormed : so.normal;
 
       ++ps.busy;
@@ -812,14 +822,33 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
   result.makespan_cycles = std::max(result.makespan_cycles, last_arrival);
 
   // Gauge sweep on the fixed cadence: deltas were appended in event order,
-  // so each tier's running depth replays exactly.
+  // so each tier's running depth replays exactly. Samples are counted by
+  // index, so a makespan near 2^64 cannot wrap the sample clock, and a
+  // run that would need more than kMaxGaugeSamples is rejected outright.
+  const u64 cadence = std::max<u64>(1, config.gauge_cadence_cycles);
+  const u64 samples = result.makespan_cycles / cadence + 1;
+  if (samples > kMaxGaugeSamples) {
+    throw std::runtime_error{
+        "run_topology_simulation: a makespan of " +
+        std::to_string(result.makespan_cycles) + " cycles needs " +
+        std::to_string(samples) + " gauge samples at a cadence of " +
+        std::to_string(cadence) + " cycles (limit " +
+        std::to_string(kMaxGaugeSamples) +
+        "); shorten the backoff ladder or raise gauge_cadence_cycles"};
+  }
   obs::Metrics gauge_metrics;
   {
+    std::vector<std::string> queue_names, inflight_names;
+    for (unsigned tier = 0; tier < tiers; ++tier) {
+      const std::string prefix = "topo.tier" + std::to_string(tier);
+      queue_names.push_back(prefix + ".queue.depth");
+      inflight_names.push_back(prefix + ".inflight");
+    }
     std::vector<u64> queue_now(tiers, 0), inflight_now(tiers, 0);
     u64 open_now = 0;
     std::size_t next_delta = 0;
-    const u64 cadence = std::max<u64>(1, config.gauge_cadence_cycles);
-    for (u64 t = 0; t <= result.makespan_cycles; t += cadence) {
+    for (u64 k = 0; k < samples; ++k) {
+      const u64 t = k * cadence;
       while (next_delta < gauges.size() && gauges[next_delta].ts <= t) {
         const GaugeDelta& d = gauges[next_delta++];
         if (d.tier == kLbTrack) {
@@ -835,15 +864,18 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
                                   t);
         tier_channel[tier]->gauge(obs::GaugeId::kInFlight, inflight_now[tier],
                                   t);
-        const std::string prefix = "topo.tier" + std::to_string(tier);
-        gauge_metrics.observe(prefix + ".queue.depth", obs::depth_edges(),
-                              queue_now[tier]);
-        gauge_metrics.observe(prefix + ".inflight", obs::depth_edges(),
-                              inflight_now[tier]);
       }
       lb->gauge(obs::GaugeId::kBreakerOpenPools, open_now, t);
-      gauge_metrics.observe("topo.breaker.open_pools", obs::depth_edges(),
-                            open_now);
+      if (config.collect_metrics) {
+        for (unsigned tier = 0; tier < tiers; ++tier) {
+          gauge_metrics.observe(queue_names[tier], obs::depth_edges(),
+                                queue_now[tier]);
+          gauge_metrics.observe(inflight_names[tier], obs::depth_edges(),
+                                inflight_now[tier]);
+        }
+        gauge_metrics.observe("topo.breaker.open_pools", obs::depth_edges(),
+                              open_now);
+      }
       ++result.gauge_samples;
     }
   }

@@ -1,10 +1,13 @@
-// Multi-tier serving topology: load balancer -> worker pools, with
-// deadlines, retry budgets, circuit breakers, and graceful overload
-// degradation (ROADMAP item 2's "multi-tier" follow-on).
+// The serving engine: load balancer -> worker pools, with deadlines,
+// retry budgets, circuit breakers, and graceful overload degradation.
 //
-// The single-station serving model (serving.h) shows tail latency; this
-// module shows how PA-induced crash churn *compounds* across a request
-// path. A request traverses `tiers` tiers in sequence (frontend ->
+// Every request is served by CoW forks of a master worker image (the
+// libriscv per-request-VM idiom), one fork per attempt, run through the
+// shared attempt runner (workload/attempt.h). A single tier with a single
+// pool is the classic fork-per-request station whose tail latency
+// bench_serving_topology's tail sweep measures; more tiers and pools show
+// how PA-induced crash churn *compounds* across a request path. A
+// request traverses `tiers` tiers in sequence (frontend ->
 // backend). At each tier a load balancer routes it to one of
 // `pools_per_tier` worker pools — each a pool of `workers_per_pool`
 // CoW-forked kernel::Machine slots with its own bounded queue — picking
@@ -141,6 +144,8 @@ struct TopologyConfig {
   /// 6 x calibrated mean service cycles. Clean crashes (auth failure,
   /// wild access) are detected immediately and cost only their cycles.
   u64 hang_timeout_cycles = 0;
+  /// Queue/in-flight gauges are sampled every this many simulated cycles;
+  /// a run whose makespan needs more than 2^20 samples throws.
   u64 gauge_cadence_cycles = 50'000;
   u64 seed = 42;
   unsigned threads = 1;  ///< host threads (0 = all); never changes results

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "common/rng.h"
 #include "sim/assembler.h"
@@ -87,6 +88,16 @@ struct CondCase {
   i64 rhs;
   bool taken;
 };
+
+// Stable test IDs (".../ConditionalBranch/eq_taken"): without a printer gtest
+// prints the raw bytes of CondCase, padding included, and ctest names
+// value-parameterised tests after the printed value.
+void PrintTo(const CondCase& c, std::ostream* os) {
+  static constexpr const char* kNames[] = {"eq", "ne", "lt", "ge",
+                                           "gt", "le", "lo", "hs"};
+  *os << kNames[static_cast<unsigned>(c.cond)]
+      << (c.taken ? "_taken" : "_fallthrough");
+}
 
 class CpuCondTest : public ::testing::TestWithParam<CondCase> {};
 

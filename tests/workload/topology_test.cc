@@ -50,6 +50,17 @@ TopologyConfig storm_config() {
   return config;
 }
 
+/// The tail-latency station: one pool of three workers, so every attempt
+/// of a request runs on the same pool and retries queue behind fresh work.
+TopologyConfig single_pool_config() {
+  TopologyConfig config = base_config();
+  config.tiers = 1;
+  config.pools_per_tier = 1;
+  config.workers_per_pool = 3;
+  config.max_restarts = 3;
+  return config;
+}
+
 // --- naming and arm selection ---------------------------------------------
 
 TEST(Topology, MitigationNamesAreStable) {
@@ -194,6 +205,62 @@ TEST(Topology, StormCausesCrashesAndRetries) {
   // Crashes concentrate on the stormed tier.
   EXPECT_GE(result.tiers[0].crashed_attempts,
             result.tiers[1].crashed_attempts);
+}
+
+TEST(Topology, SinglePoolFaultsCauseRetriesAndStretchTheTail) {
+  const auto clean =
+      run_topology_simulation(Scheme::kPacStack, single_pool_config());
+  TopologyConfig config = single_pool_config();
+  config.faults_per_million = 300;  // roughly one fault per few attempts
+  config.backoff_initial_cycles = 10'000;
+  const auto faulted = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_EQ(clean.crashed_attempts, 0U);
+  EXPECT_GT(faulted.crashed_attempts, 0U);
+  EXPECT_GT(faulted.retries, 0U);
+  EXPECT_GT(faulted.backoff_cycles, 0U);
+  // Every dispatch, retries included, is one fork on the only tier.
+  EXPECT_EQ(faulted.forks, faulted.tiers[0].dispatched);
+  // A retried request pays its backoff in latency: the faulted tail must
+  // sit above the clean one.
+  EXPECT_GT(faulted.latency.p999(), clean.latency.p999());
+}
+
+TEST(Topology, AbsurdBackoffLaddersSaturateAtTheCap) {
+  // initial * multiplier^retries overflows u64 after one step; every
+  // backoff must saturate at the default cap instead of wrapping.
+  TopologyConfig config = single_pool_config();
+  config.requests = 60;
+  config.faults_per_million = 400;
+  config.backoff_initial_cycles = ~u64{0} / 2;
+  config.backoff_multiplier = 1000;
+  const auto result = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_GT(result.retries, 0U);
+  EXPECT_EQ(result.backoff_cycles,
+            result.retries * config.backoff_cap_cycles);
+}
+
+TEST(Topology, UncappedBackoffIsRejectedInsteadOfSweptForever) {
+  // With no backoff cap, one retry pushes the makespan towards 2^63; the
+  // gauge sweep used to step through it (and could wrap its clock) instead
+  // of returning.
+  TopologyConfig config;
+  config.tiers = 1;
+  config.pools_per_tier = 1;
+  config.workers_per_pool = 2;
+  config.requests = 30;
+  config.faults_per_million = 2000;
+  config.fault_kinds = {inject::FaultKind::kBudgetExhaust};
+  config.max_restarts = 1;
+  config.backoff_initial_cycles = ~u64{0} / 2;
+  config.backoff_cap_cycles = ~u64{0};
+  EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+               std::runtime_error);
+  // The same ladder under the default cap finishes.
+  config.backoff_cap_cycles = kDefaultBackoffCapCycles;
+  const auto result = run_topology_simulation(Scheme::kPacStack, config);
+  EXPECT_GT(result.retries, 0U);
+  EXPECT_EQ(result.completed + result.dropped + result.failed,
+            result.requests);
 }
 
 TEST(Topology, ZeroRetryBudgetDeniesEveryRetry) {
