@@ -2,7 +2,7 @@
 // regressions (docs/bench-output.md "Comparing trajectories").
 //
 // Both documents are flattened to dotted-path -> numeric-leaf maps
-// ("topology.configs.pacstack_tail_load110_f40.latency.p999",
+// ("topology.configs.pacstack_tail_load110_f500.latency.p999",
 // "metrics.p99_....value");
 // the named "metrics" array is keyed by metric name, not index, so
 // reordering records is not a diff. Host-timing keys (wall_seconds, the

@@ -323,6 +323,12 @@ std::string to_json(const std::string& bench_name,
            std::to_string(topology->backoff_cycles) + ",\n";
     out += "    \"gauge_samples\": " + std::to_string(topology->gauge_samples) +
            ",\n";
+    out += "    \"stage1_attempts\": " +
+           std::to_string(topology->stage1_attempts) + ",\n";
+    out += "    \"plan_entries_drawn\": " +
+           std::to_string(topology->plan_entries_drawn) + ",\n";
+    out += "    \"faults_delivered\": " +
+           std::to_string(topology->faults_delivered) + ",\n";
     out += "    \"drops\": " + counter_map_json(topology->drops) + ",\n";
     out += "    \"configs\": {";
     bool first_config = true;

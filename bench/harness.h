@@ -181,6 +181,9 @@ struct TopologySection {
   u64 cow_pages_copied = 0;
   u64 backoff_cycles = 0;
   u64 gauge_samples = 0;
+  u64 stage1_attempts = 0;     ///< precomputed attempts (machines run)
+  u64 plan_entries_drawn = 0;  ///< fault-plan entries their engines drew
+  u64 faults_delivered = 0;    ///< faults delivered (<= plan_entries_drawn)
   std::map<std::string, u64> drops;  ///< terminal cause -> count, summed
   std::map<std::string, TopologyEntry> configs;  ///< config tag -> outcome
 };

@@ -384,12 +384,11 @@ EvalResult evaluate_program(const ProgramIr& ir, const OracleConfig& config) {
           baseline->state != kernel::ProcessState::kExited) {
         continue;  // program already dies without injection
       }
-      inject::PlanConfig plan_config;
-      plan_config.seed = config.fault_seed;
-      plan_config.horizon = config.machine_budget;
-      plan_config.mean_interval = config.fault_mean_interval;
-      plan_config.kinds = {inject::FaultKind::kRetSlotBitflip};
-      inject::Engine engine({.plan = inject::make_plan(plan_config)});
+      inject::Engine engine(
+          {.draw = {.seed = config.fault_seed,
+                    .horizon = config.machine_budget,
+                    .mean_interval = config.fault_mean_interval,
+                    .kinds = {inject::FaultKind::kRetSlotBitflip}}});
       // Re-fork the scheme's pristine master (same image the baseline ran
       // from) rather than recompiling the program for the injected run.
       const RunOutcome outcome =

@@ -1,4 +1,5 @@
-// The fault-injection engine: cursors over a plan plus outcome counters.
+// The fault-injection engine: per-level cursors over a plan that is drawn
+// on demand, plus outcome counters.
 //
 // One Engine serves one simulated machine (machines are sequential; no
 // locking). Attachment mirrors obs::Recorder: kernel::MachineOptions holds
@@ -42,20 +43,60 @@ struct Summary {
   }
 };
 
+/// One delivery level's faults in delivery order, the next one buffered:
+/// the level's share of a drawn plan merged by `at_instr` with hand-built
+/// faults, drawn faults first on ties (docs/fault-injection.md "Lazy
+/// plans"). Draws skip the other level's faults, so each level pulls only
+/// as far as its own next fault.
+class LevelCursor {
+ public:
+  LevelCursor() = default;
+  /// `drawn` is the whole drawn plan (both levels); `built` holds this
+  /// level's hand-built faults, sorted stably by `at_instr`.
+  LevelCursor(bool cpu_level, const PlanCursor& drawn,
+              std::vector<PlannedFault> built);
+
+  [[nodiscard]] bool armed() const noexcept { return armed_; }
+  /// The next fault (only meaningful while armed()).
+  [[nodiscard]] const PlannedFault& head() const noexcept { return head_; }
+  /// Faults that have reached the head so far.
+  [[nodiscard]] u64 drawn() const noexcept { return drawn_count_; }
+
+  /// Hand out the head and buffer the level's next fault.
+  [[nodiscard]] PlannedFault take() noexcept;
+
+ private:
+  /// Pull the drawn plan up to this level's next fault.
+  void pull_drawn() noexcept;
+  /// Move the earlier of the drawn and hand-built heads into head_.
+  void refill() noexcept;
+
+  bool cpu_level_ = false;
+  PlanCursor plan_;
+  bool plan_armed_ = false;  ///< plan_head_ holds this level's next draw
+  PlannedFault plan_head_;
+  std::vector<PlannedFault> built_;
+  std::size_t built_next_ = 0;
+  bool armed_ = false;
+  PlannedFault head_;
+  u64 drawn_count_ = 0;
+};
+
 class Engine;
 
 /// CPU-level cursor: owned by the Engine, installed on one hart. The hart
-/// polls `due()` once per step (two loads and a compare when armed) and
-/// applies the fault itself — the CPU has the architectural knowledge, the
-/// cursor only sequences the plan and records outcomes.
+/// polls `due()` once per stepped instruction (two loads and a compare
+/// when armed) and applies the fault itself — the CPU has the
+/// architectural knowledge, the cursor only sequences the plan and
+/// records outcomes.
 class TaskInjector {
  public:
   /// Pc-triggered faults (at_pc != 0) count executions of their PC here, so
-  /// due() must be polled exactly once per executed step (the Cpu::step
-  /// contract; run_fast is disabled while an injector is attached).
+  /// due() must be polled exactly once per executed step while one is next
+  /// (Cpu::run steps whenever quiet_steps() is 0).
   [[nodiscard]] bool due(u64 instr, u64 call_depth, u64 pc) noexcept {
-    if (next_ >= faults_.size()) return false;
-    const PlannedFault& fault = faults_[next_];
+    if (!faults_.armed()) return false;
+    const PlannedFault& fault = faults_.head();
     if (fault.at_pc != 0) {
       if (pc != fault.at_pc) return false;
       return ++pc_hits_ >= fault.occurrence;
@@ -65,18 +106,29 @@ class TaskInjector {
            instr >= fault.at_instr + kDepthGrace;
   }
 
+  /// Instructions the hart may retire without polling due(), at retired
+  /// count `instr`: all of them when no CPU-level fault remains, none
+  /// while the next fault is due or deferred or pc-triggered, else the
+  /// count left before the next fault's `at_instr`.
+  [[nodiscard]] u64 quiet_steps(u64 instr) const noexcept {
+    if (!faults_.armed()) return ~u64{0};
+    const PlannedFault& fault = faults_.head();
+    if (fault.at_pc != 0 || instr >= fault.at_instr) return 0;
+    return fault.at_instr - instr;
+  }
+
   /// The due fault, without consuming it — lets the hart defer kinds that
   /// need a particular architectural moment (kChainCorrupt waits for a
   /// call instruction, where the chain register is guaranteed live).
   [[nodiscard]] const PlannedFault& peek() const noexcept {
-    return faults_[next_];
+    return faults_.head();
   }
 
   /// The fault to apply now; advances the cursor (and resets the pc-hit
   /// counter for the next pc-triggered fault).
-  [[nodiscard]] const PlannedFault& take() noexcept {
+  [[nodiscard]] PlannedFault take() noexcept {
     pc_hits_ = 0;
-    return faults_[next_++];
+    return faults_.take();
   }
 
   /// PAC-field guess width (bits) for kChainCorrupt faults.
@@ -91,15 +143,19 @@ class TaskInjector {
   explicit TaskInjector(Engine* engine) : engine_(engine) {}
 
   Engine* engine_;
-  std::vector<PlannedFault> faults_;
-  std::size_t next_ = 0;
+  LevelCursor faults_;
   u64 pc_hits_ = 0;  ///< executions of the current fault's at_pc so far
 };
 
 class Engine {
  public:
   struct Config {
-    std::vector<PlannedFault> plan;  ///< any order; split and sorted here
+    /// Faults drawn on demand from this plan configuration; the default
+    /// (mean_interval 0, no burst) draws none.
+    PlanConfig draw;
+    /// Hand-built faults, any order. Each delivery level merges them with
+    /// its drawn faults by `at_instr`, drawn first on ties.
+    std::vector<PlannedFault> plan;
     /// Width (bits) of the CR PAC-field window a kChainCorrupt guess
     /// targets. Small windows model the paper's partial-pointer reuse
     /// setting where the effective guess space is b bits (Section 6.1).
@@ -116,11 +172,10 @@ class Engine {
   /// Kernel-level cursor, polled per scheduling slice against the
   /// process's instruction clock.
   [[nodiscard]] bool kernel_due(u64 instr) const noexcept {
-    return kernel_next_ < kernel_faults_.size() &&
-           instr >= kernel_faults_[kernel_next_].at_instr;
+    return kernel_faults_.armed() && instr >= kernel_faults_.head().at_instr;
   }
-  [[nodiscard]] const PlannedFault& kernel_take() noexcept {
-    return kernel_faults_[kernel_next_++];
+  [[nodiscard]] PlannedFault kernel_take() noexcept {
+    return kernel_faults_.take();
   }
 
   void record(FaultKind kind, bool guess_success = false) noexcept;
@@ -129,11 +184,15 @@ class Engine {
     return guess_window_;
   }
   [[nodiscard]] const Summary& summary() const noexcept { return summary_; }
+  /// Plan entries drawn or handed in that have reached either level's
+  /// look-ahead so far: every delivered fault was drawn first.
+  [[nodiscard]] u64 drawn() const noexcept {
+    return cpu_cursor_.faults_.drawn() + kernel_faults_.drawn();
+  }
 
  private:
   TaskInjector cpu_cursor_;
-  std::vector<PlannedFault> kernel_faults_;
-  std::size_t kernel_next_ = 0;
+  LevelCursor kernel_faults_;
   unsigned guess_window_;
   bool attached_ = false;
   Summary summary_;

@@ -1,7 +1,9 @@
 #include "inject/plan.h"
 
-#include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 namespace acs::inject {
 
@@ -18,12 +20,59 @@ const char* fault_kind_name(FaultKind kind) noexcept {
   return "unknown";
 }
 
-namespace {
+u64 mean_interval_for_rate(double faults_per_million, const char* what) {
+  // Intervals stay below 2^63: the renewal draw doubles them into its
+  // u64 bound.
+  constexpr double kMaxInterval = 9223372036854775808.0;
+  const auto reject = [&](const char* why) {
+    throw std::invalid_argument(std::string(what) + " = " +
+                                std::to_string(faults_per_million) + ": " +
+                                why);
+  };
+  if (!std::isfinite(faults_per_million)) reject("not a finite rate");
+  if (faults_per_million < 0) reject("negative rate");
+  if (faults_per_million == 0) return 0;
+  if (faults_per_million > 1e6) {
+    reject("above 1e6 faults per million instructions");
+  }
+  const double interval = 1e6 / faults_per_million;
+  if (!(interval < kMaxInterval)) reject("rate too small: interval overflows");
+  return static_cast<u64>(interval);
+}
 
-/// One renewal process: faults with inter-arrival uniform in
-/// [1, 2*mean_interval], starting at `begin`, strictly before `end`.
-void draw_renewal(const PlanConfig& config, Rng& rng, u64 begin, u64 end,
-                  u64 mean_interval, std::vector<PlannedFault>& plan) {
+PlanCursor::PlanCursor(const PlanConfig& config)
+    : kinds_(config.kinds), max_depth_(config.max_depth) {
+  if (config.horizon == 0) return;
+  const bool burst = config.burst_len != 0 &&
+                     config.burst_mean_interval != 0 &&
+                     config.burst_start < config.horizon;
+  Rng rng(config.seed);
+  if (config.mean_interval != 0) {
+    baseline_ = {.rng = rng, .t = 0, .end = config.horizon,
+                 .mean_interval = config.mean_interval, .live = true};
+    if (burst) {
+      // The burst draws after the whole baseline: reach that RNG state by
+      // running the baseline on a copy and discarding its faults.
+      Renewal skip = baseline_;
+      while (skip.live) advance(skip);
+      rng = skip.rng;
+    }
+    advance(baseline_);
+  }
+  if (burst) {
+    // Clamp without overflow: horizon - burst_start cannot underflow here
+    // (burst_start < horizon), while burst_start + burst_len could wrap.
+    const u64 burst_end =
+        config.horizon - config.burst_start > config.burst_len
+            ? config.burst_start + config.burst_len
+            : config.horizon;
+    burst_ = {.rng = rng, .t = config.burst_start, .end = burst_end,
+              .mean_interval = config.burst_mean_interval, .live = true};
+    advance(burst_);
+  }
+}
+
+void PlanCursor::advance(Renewal& process) const noexcept {
   // The random draw set deliberately excludes kStoreWord (which needs a
   // concrete target) and must stay exactly these six kinds in this order:
   // seeded campaigns are pinned bit-for-bit across the test suite.
@@ -34,55 +83,37 @@ void draw_renewal(const PlanConfig& config, Rng& rng, u64 begin, u64 end,
   };
   static_assert(std::size(kAllKinds) == kNumPlannableKinds);
 
-  u64 t = begin;
-  for (;;) {
-    t += 1 + rng.next_below(2 * mean_interval);
-    if (t >= end) break;
-    PlannedFault fault;
-    fault.at_instr = t;
-    fault.kind = config.kinds.empty()
-                     ? kAllKinds[rng.next_below(kNumPlannableKinds)]
-                     : config.kinds[rng.next_below(config.kinds.size())];
-    fault.min_depth =
-        config.max_depth == 0 ? 0 : rng.next_below(config.max_depth);
-    fault.payload = rng.next();
-    plan.push_back(fault);
+  Rng& rng = process.rng;
+  process.t += 1 + rng.next_below(2 * process.mean_interval);
+  if (process.t >= process.end) {
+    process.live = false;
+    return;
   }
+  PlannedFault& fault = process.head;
+  fault.at_instr = process.t;
+  fault.kind = kinds_.empty() ? kAllKinds[rng.next_below(kNumPlannableKinds)]
+                              : kinds_[rng.next_below(kinds_.size())];
+  fault.min_depth = max_depth_ == 0 ? 0 : rng.next_below(max_depth_);
+  fault.payload = rng.next();
 }
 
-}  // namespace
+bool PlanCursor::next(PlannedFault& out) noexcept {
+  // Merge by time, the baseline first on ties.
+  Renewal* const from =
+      burst_.live && (!baseline_.live ||
+                      burst_.head.at_instr < baseline_.head.at_instr)
+          ? &burst_
+          : &baseline_;
+  if (!from->live) return false;
+  out = from->head;
+  advance(*from);
+  return true;
+}
 
 std::vector<PlannedFault> make_plan(const PlanConfig& config) {
   std::vector<PlannedFault> plan;
-  if (config.horizon == 0) return plan;
-
-  Rng rng(config.seed);
-  if (config.mean_interval != 0) {
-    draw_renewal(config, rng, 0, config.horizon, config.mean_interval, plan);
-  }
-
-  // Correlated burst: a second renewal process inside the window, drawn
-  // from the same stream *after* the baseline so a disabled burst leaves
-  // the baseline plan bit-identical to older releases.
-  if (config.burst_len != 0 && config.burst_mean_interval != 0 &&
-      config.burst_start < config.horizon) {
-    // Clamp without overflow: horizon - burst_start cannot underflow here
-    // (burst_start < horizon), while burst_start + burst_len could wrap.
-    const u64 burst_end =
-        config.horizon - config.burst_start > config.burst_len
-            ? config.burst_start + config.burst_len
-            : config.horizon;
-    const std::size_t baseline_count = plan.size();
-    draw_renewal(config, rng, config.burst_start, burst_end,
-                 config.burst_mean_interval, plan);
-    std::inplace_merge(plan.begin(),
-                       plan.begin() + static_cast<std::ptrdiff_t>(
-                                          baseline_count),
-                       plan.end(),
-                       [](const PlannedFault& a, const PlannedFault& b) {
-                         return a.at_instr < b.at_instr;
-                       });
-  }
+  PlanCursor cursor(config);
+  for (PlannedFault fault; cursor.next(fault);) plan.push_back(fault);
   return plan;
 }
 

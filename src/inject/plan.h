@@ -5,6 +5,8 @@
 // do X". Plans are pure functions of a seed, so a campaign that derives
 // its plan seeds through exec::trial_seed is bitwise identical for any
 // host thread count — a fault campaign replays exactly, crash for crash.
+// PlanCursor draws a plan one fault at a time, so a machine that dies
+// early never pays for the faults it would not have reached.
 //
 // The kinds split into two delivery levels:
 //   * CPU-level kinds fire inside sim::Cpu::step() at a precise retired-
@@ -111,11 +113,55 @@ struct PlanConfig {
   u64 burst_mean_interval = 0;  ///< mean instructions between burst faults
 };
 
-/// Build a plan: fault times are a renewal process with inter-arrival
-/// uniform in [1, 2*mean_interval], kinds/depths/payloads drawn from the
-/// seeded RNG; a configured burst adds a second renewal process inside
-/// its window, drawn after the baseline from the same seeded stream. The
-/// merged plan is sorted by `at_instr`; pure function of the config.
+/// Mean instructions between faults for a rate in faults per million
+/// instructions: 0 for a rate of 0 (no faults). Throws
+/// std::invalid_argument for a NaN, infinite or negative rate, for a rate
+/// above 1e6 (the interval would truncate to 0 and silently disable the
+/// faults) and for a rate so small that the interval, doubled by the
+/// renewal draw, would not fit in a u64. `what` names the rate in the
+/// message.
+[[nodiscard]] u64 mean_interval_for_rate(double faults_per_million,
+                                         const char* what);
+
+/// A plan drawn on demand: next() yields exactly make_plan(config)'s
+/// faults, in the same order, in O(1) memory. Fault times are a renewal
+/// process with inter-arrival uniform in [1, 2*mean_interval], kinds,
+/// depths and payloads drawn from the seeded RNG; a configured burst adds
+/// a second renewal process inside its window. Each process keeps one
+/// look-ahead fault and next() hands out the earlier head, the baseline's
+/// on ties. The burst draws from the RNG state the baseline leaves after
+/// its last draw, so with both processes active the constructor first
+/// runs the baseline draw loop on a copy of the RNG, discarding the
+/// faults.
+class PlanCursor {
+ public:
+  PlanCursor() = default;  ///< an empty plan
+  explicit PlanCursor(const PlanConfig& config);
+
+  /// Draw the next fault into `out`; false once the plan is exhausted.
+  [[nodiscard]] bool next(PlannedFault& out) noexcept;
+
+ private:
+  /// One renewal process over (t, end) and its look-ahead fault.
+  struct Renewal {
+    Rng rng;
+    u64 t = 0;
+    u64 end = 0;
+    u64 mean_interval = 0;
+    bool live = false;  ///< `head` holds the process's next fault
+    PlannedFault head;
+  };
+  /// Draw `process`'s next fault into its head, or end the process.
+  void advance(Renewal& process) const noexcept;
+
+  std::vector<FaultKind> kinds_;
+  u64 max_depth_ = 0;
+  Renewal baseline_;
+  Renewal burst_;
+};
+
+/// The whole plan at once (a drain of PlanCursor): sorted by `at_instr`,
+/// a pure function of the config.
 [[nodiscard]] std::vector<PlannedFault> make_plan(const PlanConfig& config);
 
 }  // namespace acs::inject

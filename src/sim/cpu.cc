@@ -665,6 +665,22 @@ RunState Cpu::run(u64 max_steps) {
   if (dispatch_ == DispatchMode::kDecoded && breakpoints_.empty() &&
       inject_ == nullptr && trace_ring_.empty()) {
     steps = run_fast(max_steps);
+  } else if (dispatch_ == DispatchMode::kDecoded && breakpoints_.empty() &&
+             trace_ring_.empty()) {
+    // An injector is attached: run fast up to its next count-triggered
+    // fault, and step only while a fault is due or deferred (min_depth,
+    // kChainCorrupt waiting for a call) or pc-triggered. Before at_instr
+    // due() is false and side-effect free, so the fast steps are exactly
+    // the steps step() would have taken.
+    while (steps < max_steps && state_ == RunState::kReady) {
+      const u64 quiet = inject_->quiet_steps(instructions_);
+      if (quiet == 0) {
+        step();
+        ++steps;
+      } else {
+        steps += run_fast(std::min(quiet, max_steps - steps));
+      }
+    }
   } else {
     for (; steps < max_steps && state_ == RunState::kReady; ++steps) step();
   }

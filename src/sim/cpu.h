@@ -84,9 +84,11 @@ class Cpu {
   RunState step();
 
   /// Run until a non-ready state or `max_steps` instructions. When no
-  /// breakpoints, injector or trace ring are attached and dispatch is
-  /// kDecoded, this uses a tight fetch/dispatch loop that hoists the
-  /// per-step breakpoint and region lookups out of the hot path.
+  /// breakpoints or trace ring are attached and dispatch is kDecoded, this
+  /// uses a tight fetch/dispatch loop that hoists the per-step breakpoint
+  /// and region lookups out of the hot path. With an injector attached the
+  /// loop runs up to the next count-triggered CPU fault, and step() takes
+  /// over only while a fault is due, deferred or pc-triggered.
   RunState run(u64 max_steps = 100'000'000);
 
   /// True when the last run() stopped because it used up `max_steps` while

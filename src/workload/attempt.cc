@@ -31,6 +31,7 @@ AttemptOutcome run_attempt(const kernel::Machine& master, u64 machine_seed,
                  (process.state == kernel::ProcessState::kKilled &&
                   process.kill_fault.kind == sim::FaultKind::kInstrBudget);
   outcome.injected = engine.summary();
+  outcome.plan_entries_drawn = engine.drawn();
   return outcome;
 }
 

@@ -34,6 +34,7 @@ struct AttemptOutcome {
   kernel::ProcessState state = kernel::ProcessState::kLive;
   sim::FaultKind kill = sim::FaultKind::kNone;  ///< set when kKilled
   inject::Summary injected;  ///< faults the engine delivered
+  u64 plan_entries_drawn = 0;  ///< plan entries the engine drew
 };
 
 /// Fork `master`, run the fork for at most `instr_budget` instructions

@@ -75,6 +75,9 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
   const u64 master_key_seed = splitmix64(master_state);
   const unsigned max_attempts =
       policy.mode == RestartMode::kFailFast ? 1 : policy.max_restarts + 1;
+  // Bad rates throw here rather than silently turning the faults off.
+  const u64 fault_interval = inject::mean_interval_for_rate(
+      config.faults_per_million, "run_worker_fleet: faults_per_million");
 
   // Every (repeat, worker) pair is one independent supervised slot; all of
   // its randomness derives from the trial index, and outcomes land at the
@@ -136,14 +139,12 @@ FleetResult run_worker_fleet(compiler::Scheme scheme, const FleetConfig& config,
         }
         for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
           inject::Engine::Config engine_config;
-          if (config.faults_per_million > 0) {
-            inject::PlanConfig plan_config;
+          if (fault_interval != 0) {
+            inject::PlanConfig& plan_config = engine_config.draw;
             plan_config.seed = exec::trial_seed(slot_salt ^ 0xfa, attempt);
             plan_config.horizon = config.attempt_instr_budget;
-            plan_config.mean_interval = static_cast<u64>(
-                1e6 / config.faults_per_million);
+            plan_config.mean_interval = fault_interval;
             plan_config.kinds = config.fault_kinds;
-            engine_config.plan = inject::make_plan(plan_config);
           }
           if (config.guess_window > 0) {
             // The Section 6.1 adversary: one guess per generation, window

@@ -70,6 +70,8 @@ constexpr u64 kTopoArrivalSalt = 0x746f'706f'2661'7272ULL;
 struct TierAttempt {
   u64 cycles = 0;
   u64 cow_pages = 0;
+  u64 plan_entries_drawn = 0;
+  u64 faults_delivered = 0;
   bool crashed = false;
 };
 
@@ -194,8 +196,14 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
         "run_topology_simulation: breaker_window must be non-zero when the "
         "breaker is enabled"};
   }
+  // Bad rates throw here rather than silently turning the faults off.
+  const u64 fault_interval = inject::mean_interval_for_rate(
+      config.faults_per_million, "run_topology_simulation: faults_per_million");
+  const u64 storm_interval = inject::mean_interval_for_rate(
+      config.storm_faults_per_million,
+      "run_topology_simulation: storm_faults_per_million");
   const bool storm_configured =
-      config.storm_faults_per_million > 0 &&
+      storm_interval != 0 &&
       config.storm_end_permille > config.storm_begin_permille;
   if (storm_configured && (config.storm_tier >= config.tiers ||
                            config.storm_pool >= config.pools_per_tier)) {
@@ -276,26 +284,20 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
 
         const auto tier_attempt = [&](u64 machine_seed, u64 plan_seed,
                                       bool stormed) {
-          inject::PlanConfig plan_config;
+          // The engine draws the plan on demand: an attempt that dies at
+          // its first fault draws little more than that fault.
+          inject::Engine::Config engine_config;
+          inject::PlanConfig& plan_config = engine_config.draw;
           plan_config.seed = plan_seed;
           plan_config.horizon = config.attempt_instr_budget;
           plan_config.kinds = config.fault_kinds;
-          if (config.faults_per_million > 0) {
-            plan_config.mean_interval =
-                static_cast<u64>(1e6 / config.faults_per_million);
-          }
+          plan_config.mean_interval = fault_interval;
           if (stormed) {
             // The correlated burst covers the whole attempt: from the
             // attempt's point of view the pool is inside the storm.
             plan_config.burst_start = 0;
             plan_config.burst_len = config.attempt_instr_budget;
-            plan_config.burst_mean_interval =
-                static_cast<u64>(1e6 / config.storm_faults_per_million);
-          }
-          inject::Engine::Config engine_config;
-          if (plan_config.mean_interval != 0 ||
-              plan_config.burst_mean_interval != 0) {
-            engine_config.plan = inject::make_plan(plan_config);
+            plan_config.burst_mean_interval = storm_interval;
           }
           // Fresh keys every attempt (rekey).
           const AttemptOutcome run =
@@ -305,6 +307,8 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
           TierAttempt attempt;
           attempt.cycles = std::max<u64>(1, run.cycles);
           attempt.cow_pages = run.cow_pages;
+          attempt.plan_entries_drawn = run.plan_entries_drawn;
+          attempt.faults_delivered = run.injected.total_injected();
           attempt.crashed = run.crashed;
           // Hangs (runaways and injected watchdog kills) hold the worker
           // until the supervisor's hang timeout fires; clean crashes are
@@ -342,6 +346,19 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
   result.mean_interarrival_cycles = mean_interarrival;
   result.deadline_cycles = deadline;
   result.tiers.resize(tiers);
+  const auto count_stage1 = [&](const TierAttempt& attempt) {
+    ++result.stage1_attempts;
+    result.plan_entries_drawn += attempt.plan_entries_drawn;
+    result.faults_delivered += attempt.faults_delivered;
+  };
+  for (const RequestPre& request : pre) {
+    for (std::size_t i = 0; i < request.slots.size(); ++i) {
+      count_stage1(request.slots[i].normal);
+      if (storm_configured && i / slots_per_tier == config.storm_tier) {
+        count_stage1(request.slots[i].stormed);
+      }
+    }
+  }
   for (const char* cause : {"queue-full", "shed-low-priority", "breaker-open",
                             "expired", "retry-exhausted", "retry-budget"}) {
     result.drops[cause] = 0;

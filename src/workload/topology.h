@@ -204,6 +204,12 @@ struct TopologyResult {
   u64 cow_pages_copied = 0;
   u64 backoff_cycles = 0;
 
+  // Stage-1 work: every precomputed attempt, whether or not stage 2
+  // dispatched it.
+  u64 stage1_attempts = 0;     ///< machines run (normal + stormed slots)
+  u64 plan_entries_drawn = 0;  ///< fault-plan entries the engines drew
+  u64 faults_delivered = 0;    ///< faults the engines delivered (<= drawn)
+
   /// Terminal drop/fail causes; values sum to dropped + failed.
   /// Keys: "queue-full", "shed-low-priority", "breaker-open", "expired",
   /// "retry-exhausted", "retry-budget".

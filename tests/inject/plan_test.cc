@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 namespace acs::inject {
@@ -181,6 +183,20 @@ TEST(Plan, BurstWindowIsClampedToTheHorizon) {
   // A burst starting at or past the horizon contributes nothing.
   config.burst_start = 100'000;
   EXPECT_TRUE(make_plan(config).empty());
+}
+
+TEST(Plan, MeanIntervalForRate) {
+  EXPECT_EQ(mean_interval_for_rate(0, "rate"), 0U);
+  EXPECT_EQ(mean_interval_for_rate(40, "rate"), 25'000U);
+  EXPECT_EQ(mean_interval_for_rate(8000, "rate"), 125U);
+  EXPECT_EQ(mean_interval_for_rate(1e6, "rate"), 1U);
+  EXPECT_EQ(mean_interval_for_rate(0.5, "rate"), 2'000'000U);
+  for (const double rate : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0, -0.5,
+                            1e6 + 1, 1e300, 1e-300, 1e-13}) {
+    EXPECT_THROW((void)mean_interval_for_rate(rate, "rate"),
+                 std::invalid_argument)
+        << rate;
+  }
 }
 
 }  // namespace

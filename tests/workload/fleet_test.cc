@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -236,6 +237,21 @@ TEST(Fleet, ForkCountersMatchAttempts) {
   EXPECT_EQ(obs.metrics.counter("fleet.fork"),
             result.total_slots + result.restarts);
   EXPECT_GT(obs.metrics.counter("fleet.cow_pages_copied"), 0U);
+}
+
+TEST(Fleet, BadFaultRatesThrowLoudly) {
+  // Each of these used to turn faults silently off, or hit an undefined
+  // u64 conversion.
+  for (const double rate : {std::nan(""), HUGE_VAL, -1.0, 1e6 + 1, 1e-300}) {
+    FleetConfig config;
+    config.workers = 1;
+    config.repeats = 1;
+    config.requests_per_worker = 5;
+    config.faults_per_million = rate;
+    EXPECT_THROW((void)run_worker_fleet(Scheme::kPacStack, config),
+                 std::invalid_argument)
+        << "faults_per_million " << rate;
+  }
 }
 
 }  // namespace

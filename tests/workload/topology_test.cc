@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -446,7 +447,51 @@ TEST(Topology, MetricsExposeTheTopoCounters) {
   EXPECT_GT(result.metrics.counter("obs.span.begin"), 0U);
 }
 
+// --- stage-1 work -----------------------------------------------------------
+
+TEST(Topology, ReportsStageOneWork) {
+  TopologyConfig config = storm_config();
+  config.requests = 60;
+  const auto stormed = run_topology_simulation(Scheme::kPacStack, config);
+  // Every (request, tier, slot) runs a normal attempt; the storm tier's
+  // slots also run a stormed one.
+  const u64 slots = config.max_restarts + 1;
+  const u64 stormed_attempts = config.requests * slots;
+  EXPECT_EQ(stormed.stage1_attempts,
+            config.requests * config.tiers * slots + stormed_attempts);
+  EXPECT_GT(stormed.faults_delivered, 0U);
+  EXPECT_LE(stormed.faults_delivered, stormed.plan_entries_drawn);
+  // Plans are drawn on demand: a budget-exhaust storm kills the attempt
+  // at its first fault, so an attempt draws that fault plus one
+  // look-ahead — not the ~3,200 faults its whole budget would hold.
+  EXPECT_LE(stormed.plan_entries_drawn, 2 * stormed_attempts);
+
+  const auto clean = run_topology_simulation(Scheme::kPacStack, base_config());
+  EXPECT_EQ(clean.stage1_attempts, base_config().requests *
+                                       base_config().tiers *
+                                       (base_config().max_restarts + 1));
+  EXPECT_EQ(clean.plan_entries_drawn, 0U);
+  EXPECT_EQ(clean.faults_delivered, 0U);
+}
+
 // --- configuration errors -------------------------------------------------
+
+TEST(Topology, BadFaultRatesThrowLoudly) {
+  // Each of these used to turn faults (or the storm) silently off, or hit
+  // an undefined u64 conversion.
+  for (const double rate : {std::nan(""), HUGE_VAL, -1.0, 1e6 + 1, 1e-300}) {
+    TopologyConfig config = base_config();
+    config.faults_per_million = rate;
+    EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+                 std::invalid_argument)
+        << "faults_per_million " << rate;
+    config = storm_config();
+    config.storm_faults_per_million = rate;
+    EXPECT_THROW((void)run_topology_simulation(Scheme::kPacStack, config),
+                 std::invalid_argument)
+        << "storm_faults_per_million " << rate;
+  }
+}
 
 TEST(Topology, DegenerateConfigsThrowLoudly) {
   const auto expect_throws = [](TopologyConfig config, const char* what) {

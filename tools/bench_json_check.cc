@@ -244,9 +244,10 @@ std::string check_lint_section(const Value& lint) {
 /// Validate the optional "topology" section (multi-tier serving topology
 /// totals, see docs/bench-output.md): numeric totals with the accounting
 /// identities (completed + dropped + failed == requests; goodput +
-/// deadline_missed == completed), a {cause: number} "drops" map, and a
-/// {tag: entry} "configs" map whose entries carry per-phase goodput
-/// (goodput <= arrivals per phase) and a monotone latency summary.
+/// deadline_missed == completed; faults_delivered <= plan_entries_drawn),
+/// a {cause: number} "drops" map, and a {tag: entry} "configs" map whose
+/// entries carry per-phase goodput (goodput <= arrivals per phase) and a
+/// monotone latency summary.
 std::string check_topology_section(const Value& topology) {
   const Object* top = topology.object();
   if (top == nullptr) return "'topology' is not an object";
@@ -255,7 +256,8 @@ std::string check_topology_section(const Value& topology) {
        {"requests", "completed", "dropped", "failed", "goodput",
         "deadline_missed", "crashed_attempts", "retries",
         "retry_budget_denied", "hedges", "breaker_trips", "breaker_probes",
-        "forks", "cow_pages_copied", "backoff_cycles", "gauge_samples"}) {
+        "forks", "cow_pages_copied", "backoff_cycles", "gauge_samples",
+        "stage1_attempts", "plan_entries_drawn", "faults_delivered"}) {
     const Value* v = find(*top, key);
     if (v == nullptr || !v->is_number()) {
       return std::string("'topology.") + key + "' missing or not a number";
@@ -272,6 +274,11 @@ std::string check_topology_section(const Value& topology) {
       find(*top, "completed")->number()) {
     return "'topology' goodput accounting broken "
            "(goodput + deadline_missed != completed)";
+  }
+  if (find(*top, "faults_delivered")->number() >
+      find(*top, "plan_entries_drawn")->number()) {
+    return "'topology' fault accounting broken "
+           "(faults_delivered > plan_entries_drawn)";
   }
 
   const Value* drops = find(*top, "drops");
