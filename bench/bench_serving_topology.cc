@@ -7,10 +7,9 @@
 // saturating backoff, up to 3 retries. Per configuration the bench reports
 // end-to-end p50/p99/p999 in *simulated cycles* (obs::LogHistogram) and
 // queue-full rejections (backpressure). Tags: "pacstack_tail_load110_f500".
-// Under --smoke every faulted tail arm must retry at least once: an arm
-// whose faults never crash an attempt equals its fault-free arm, so the
-// checked-in smoke reference would pin no faulted tail; the bench fails
-// loudly instead.
+// Every faulted tail arm, smoke or full, must retry at least once: an arm
+// whose faults never crash an attempt equals its fault-free arm and
+// measures no faulted tail, so the bench fails loudly instead.
 //
 // The storm sweep: requests traverse two tiers of worker pools behind
 // per-tier load balancers, carrying an end-to-end deadline. The sweep is
@@ -119,7 +118,8 @@ int main(int argc, char** argv) {
     totals.cow_pages_copied += result.cow_pages_copied;
     totals.backoff_cycles += result.backoff_cycles;
     totals.gauge_samples += result.gauge_samples;
-    totals.stage1_attempts += result.stage1_attempts;
+    totals.attempts_run += result.attempts_run;
+    totals.cow_pages_run += result.cow_pages_run;
     totals.plan_entries_drawn += result.plan_entries_drawn;
     totals.faults_delivered += result.faults_delivered;
     for (const auto& [cause, count] : result.drops) {
@@ -227,10 +227,13 @@ int main(int argc, char** argv) {
       options.smoke ? std::vector<unsigned>{70, 110}
                     : std::vector<unsigned>{60, 90, 120};
   // The smoke's attempts run ~1-2k instructions, so its faulted rate must
-  // put a fault inside most attempts for every arm to retry.
+  // put a fault inside most attempts for every arm to retry. The full
+  // sweep's low rate is the lowest integer rate at which all six of its
+  // arms retry: each rate draws its own fault stream, so retries are not
+  // monotone in the rate.
   const std::vector<double> tail_rates =
       options.smoke ? std::vector<double>{0, 500}
-                    : std::vector<double>{0, 20, 60};
+                    : std::vector<double>{0, 11, 60};
   bool faulted_tail_ok = true;
   for (const auto& scheme : kSchemes) {
     for (const unsigned load : tail_loads) {
@@ -271,7 +274,7 @@ int main(int argc, char** argv) {
                         result.latency.count());
         reporter.record("rejected_" + tag, static_cast<double>(rejected),
                         "requests", result.requests);
-        if (options.smoke && rate > 0 && result.retries == 0) {
+        if (rate > 0 && result.retries == 0) {
           std::fprintf(stderr,
                        "bench_serving_topology: faulted tail arm %s never "
                        "retried; it pins no faulted tail\n",

@@ -323,8 +323,10 @@ std::string to_json(const std::string& bench_name,
            std::to_string(topology->backoff_cycles) + ",\n";
     out += "    \"gauge_samples\": " + std::to_string(topology->gauge_samples) +
            ",\n";
-    out += "    \"stage1_attempts\": " +
-           std::to_string(topology->stage1_attempts) + ",\n";
+    out += "    \"attempts_run\": " + std::to_string(topology->attempts_run) +
+           ",\n";
+    out += "    \"cow_pages_run\": " + std::to_string(topology->cow_pages_run) +
+           ",\n";
     out += "    \"plan_entries_drawn\": " +
            std::to_string(topology->plan_entries_drawn) + ",\n";
     out += "    \"faults_delivered\": " +

@@ -181,7 +181,8 @@ struct TopologySection {
   u64 cow_pages_copied = 0;
   u64 backoff_cycles = 0;
   u64 gauge_samples = 0;
-  u64 stage1_attempts = 0;     ///< precomputed attempts (machines run)
+  u64 attempts_run = 0;        ///< machines run (>= forks)
+  u64 cow_pages_run = 0;       ///< pages they privatised
   u64 plan_entries_drawn = 0;  ///< fault-plan entries their engines drew
   u64 faults_delivered = 0;    ///< faults delivered (<= plan_entries_drawn)
   std::map<std::string, u64> drops;  ///< terminal cause -> count, summed

@@ -75,7 +75,7 @@ set_tests_properties(bench_kernels_invariance PROPERTIES
 # threads=1 run must match the checked-in reference exactly
 # (acs-bench-diff --threshold=0; only host timing is ignored) — the
 # single-pool tail arms' percentiles, the per-phase goodput split that
-# shows the unmitigated retry storm going metastable, the stage-1 work
+# shows the unmitigated retry storm going metastable, the machine-work
 # counts and every obs counter.
 add_test(NAME bench_topology_invariance
          COMMAND ${CMAKE_COMMAND}

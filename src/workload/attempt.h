@@ -1,13 +1,13 @@
-// The one supervised-attempt runner every forking workload shares
-// (topology stage 1, the fault fleet).
+// The one supervised-attempt runner every forking workload shares (the
+// topology's precomputed and on-demand attempts, the fault fleet).
 //
 // An attempt CoW-forks a pristine master image with its own machine seed
 // (so its own keys, canaries and pids), runs it under a fault-injection
 // engine built from `engine_config`, and classifies how it ended. It is a
 // pure function of (master, seed, engine config, budget): the same inputs
 // give the same outcome on any thread, at any time, which is what lets
-// callers precompute attempts in parallel and still be bitwise
-// thread-invariant.
+// callers run some attempts ahead in parallel and the rest on demand and
+// still be bitwise thread-invariant.
 #pragma once
 
 #include <string>

@@ -65,8 +65,8 @@ namespace {
 constexpr u64 kTopoRequestSalt = 0x746f'706f'2672'6571ULL;
 constexpr u64 kTopoArrivalSalt = 0x746f'706f'2661'7272ULL;
 
-/// What stage 2 needs of one precomputed attempt; `cycles` is the
-/// worker's occupancy (at least 1, and a hang costs the hang timeout).
+/// What stage 2 needs of one attempt; `cycles` is the worker's occupancy
+/// (at least 1, and a hang costs the hang timeout).
 struct TierAttempt {
   u64 cycles = 0;
   u64 cow_pages = 0;
@@ -75,17 +75,11 @@ struct TierAttempt {
   bool crashed = false;
 };
 
-/// Precomputed machine outcomes for one (request, tier, attempt slot):
-/// the normal variant and — on the storm tier — the stormed variant.
-struct SlotOutcome {
-  TierAttempt normal;
-  TierAttempt stormed;
-};
-
 struct RequestPre {
+  u64 slot_salt = 0;  ///< seeds every attempt of the request
   unsigned cls = 0;
   bool low_priority = false;
-  std::vector<SlotOutcome> slots;  ///< index: tier * slots_per_tier + slot
+  std::vector<TierAttempt> first_try;  ///< per tier: slot 0, not stormed
 };
 
 unsigned pick_class(const std::vector<ServiceClass>& classes, Rng& rng) {
@@ -153,7 +147,7 @@ struct RequestState {
   bool hedged_this_tier = false;
   bool done = false;
   bool completed = false;
-  std::vector<u8> next_slot;  ///< per tier: next precomputed attempt slot
+  std::vector<u8> next_slot;  ///< per tier: next attempt slot
   std::vector<u8> retried;    ///< per tier: retries consumed
 };
 
@@ -266,74 +260,64 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
                                ? config.hang_timeout_cycles
                                : 6 * std::max<u64>(1, mean_service);
 
-  // ---- Stage 1 (parallel): per-(request, tier, slot) outcomes ----------
-  // Both variants of every slot are precomputed so stage 2's choice of
-  // attempt count and storm exposure cannot perturb any other request's
-  // stream — the exec::parallel_map_trials determinism contract.
+  // One attempt of a request at one tier: a pure function of the
+  // request's class and salt, the attempt slot and the storm exposure, so
+  // it gives the same outcome whenever and on whichever thread it runs.
+  const auto tier_attempt = [&](const RequestPre& request, unsigned tier,
+                                unsigned slot, bool stormed) {
+    const u64 idx = (static_cast<u64>(tier) * slots_per_tier + slot) * 2 +
+                    (stormed ? 1 : 0);
+    // The engine draws the plan on demand: an attempt that dies at its
+    // first fault draws little more than that fault.
+    inject::Engine::Config engine_config;
+    inject::PlanConfig& plan_config = engine_config.draw;
+    plan_config.seed = exec::trial_seed(request.slot_salt ^ 0xfa, idx);
+    plan_config.horizon = config.attempt_instr_budget;
+    plan_config.kinds = config.fault_kinds;
+    plan_config.mean_interval = fault_interval;
+    if (stormed) {
+      // The correlated burst covers the whole attempt: from the attempt's
+      // point of view the pool is inside the storm.
+      plan_config.burst_start = 0;
+      plan_config.burst_len = config.attempt_instr_budget;
+      plan_config.burst_mean_interval = storm_interval;
+    }
+    // Fresh keys every attempt (rekey).
+    const AttemptOutcome run = run_attempt(
+        masters[request.cls], exec::trial_seed(request.slot_salt, idx),
+        std::move(engine_config), config.attempt_instr_budget);
+    TierAttempt attempt;
+    attempt.cycles = std::max<u64>(1, run.cycles);
+    attempt.cow_pages = run.cow_pages;
+    attempt.plan_entries_drawn = run.plan_entries_drawn;
+    attempt.faults_delivered = run.injected.total_injected();
+    attempt.crashed = run.crashed;
+    // Hangs (runaways and injected watchdog kills) hold the worker until
+    // the supervisor's hang timeout fires; clean crashes are detected
+    // immediately.
+    if (run.hung) attempt.cycles = std::max(attempt.cycles, hang_timeout);
+    return attempt;
+  };
+
+  // ---- Stage 1 (parallel): every request's first try at every tier -----
+  // Nearly every dispatch is a request's first, unstormed try at a tier,
+  // so those run ahead in parallel; stage 2 runs retries, hedges and
+  // stormed attempts on demand with the same seeds. Each request's draws
+  // come from its own exec::parallel_map_trials stream, so the split
+  // cannot perturb any other request.
   const auto pre = exec::parallel_map_trials<RequestPre>(
       config.requests, config.seed ^ kTopoRequestSalt,
       [&](u64 request, u64 request_seed) {
         (void)request;
         Rng seeder(request_seed);
-        const u64 slot_salt = seeder.next();
         RequestPre out;
+        out.slot_salt = seeder.next();
         out.cls = pick_class(classes, seeder);
         out.low_priority =
             seeder.next_below(1000) < config.low_priority_permille;
-        out.slots.resize(static_cast<std::size_t>(tiers) * slots_per_tier);
-
-        const auto tier_attempt = [&](u64 machine_seed, u64 plan_seed,
-                                      bool stormed) {
-          // The engine draws the plan on demand: an attempt that dies at
-          // its first fault draws little more than that fault.
-          inject::Engine::Config engine_config;
-          inject::PlanConfig& plan_config = engine_config.draw;
-          plan_config.seed = plan_seed;
-          plan_config.horizon = config.attempt_instr_budget;
-          plan_config.kinds = config.fault_kinds;
-          plan_config.mean_interval = fault_interval;
-          if (stormed) {
-            // The correlated burst covers the whole attempt: from the
-            // attempt's point of view the pool is inside the storm.
-            plan_config.burst_start = 0;
-            plan_config.burst_len = config.attempt_instr_budget;
-            plan_config.burst_mean_interval = storm_interval;
-          }
-          // Fresh keys every attempt (rekey).
-          const AttemptOutcome run =
-              run_attempt(masters[out.cls], machine_seed,
-                          std::move(engine_config),
-                          config.attempt_instr_budget);
-          TierAttempt attempt;
-          attempt.cycles = std::max<u64>(1, run.cycles);
-          attempt.cow_pages = run.cow_pages;
-          attempt.plan_entries_drawn = run.plan_entries_drawn;
-          attempt.faults_delivered = run.injected.total_injected();
-          attempt.crashed = run.crashed;
-          // Hangs (runaways and injected watchdog kills) hold the worker
-          // until the supervisor's hang timeout fires; clean crashes are
-          // detected immediately.
-          if (run.hung) attempt.cycles = std::max(attempt.cycles, hang_timeout);
-          return attempt;
-        };
-
+        out.first_try.reserve(tiers);
         for (unsigned t = 0; t < tiers; ++t) {
-          for (unsigned a = 0; a < slots_per_tier; ++a) {
-            const u64 idx =
-                (static_cast<u64>(t) * slots_per_tier + a) * 2;
-            SlotOutcome& slot = out.slots[static_cast<std::size_t>(t) *
-                                              slots_per_tier +
-                                          a];
-            slot.normal = tier_attempt(exec::trial_seed(slot_salt, idx),
-                                       exec::trial_seed(slot_salt ^ 0xfa, idx),
-                                       /*stormed=*/false);
-            if (storm_configured && t == config.storm_tier) {
-              slot.stormed =
-                  tier_attempt(exec::trial_seed(slot_salt, idx + 1),
-                               exec::trial_seed(slot_salt ^ 0xfa, idx + 1),
-                               /*stormed=*/true);
-            }
-          }
+          out.first_try.push_back(tier_attempt(out, t, 0, /*stormed=*/false));
         }
         return out;
       },
@@ -346,18 +330,14 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
   result.mean_interarrival_cycles = mean_interarrival;
   result.deadline_cycles = deadline;
   result.tiers.resize(tiers);
-  const auto count_stage1 = [&](const TierAttempt& attempt) {
-    ++result.stage1_attempts;
+  const auto count_run = [&](const TierAttempt& attempt) {
+    ++result.attempts_run;
+    result.cow_pages_run += attempt.cow_pages;
     result.plan_entries_drawn += attempt.plan_entries_drawn;
     result.faults_delivered += attempt.faults_delivered;
   };
   for (const RequestPre& request : pre) {
-    for (std::size_t i = 0; i < request.slots.size(); ++i) {
-      count_stage1(request.slots[i].normal);
-      if (storm_configured && i / slots_per_tier == config.storm_tier) {
-        count_stage1(request.slots[i].stormed);
-      }
-    }
+    for (const TierAttempt& attempt : request.first_try) count_run(attempt);
   }
   for (const char* cause : {"queue-full", "shed-low-priority", "breaker-open",
                             "expired", "retry-exhausted", "retry-budget"}) {
@@ -528,13 +508,17 @@ TopologyResult run_topology_simulation(compiler::Scheme scheme,
         continue;
       }
 
-      const unsigned slot = rs.next_slot[tier]++;
+      const unsigned slot =
+          std::min<unsigned>(rs.next_slot[tier]++, slots_per_tier - 1);
       const RequestPre& p = pre[entry.request];
-      const SlotOutcome& so =
-          p.slots[static_cast<std::size_t>(tier) * slots_per_tier +
-                  std::min<unsigned>(slot, slots_per_tier - 1)];
-      const TierAttempt& outcome =
-          in_storm(tier, pool, ts) ? so.stormed : so.normal;
+      const bool stormed = in_storm(tier, pool, ts);
+      TierAttempt outcome;
+      if (slot == 0 && !stormed) {
+        outcome = p.first_try[tier];
+      } else {
+        outcome = tier_attempt(p, tier, slot, stormed);
+        count_run(outcome);
+      }
 
       ++ps.busy;
       ++tier_inflight[tier];

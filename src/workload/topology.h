@@ -47,12 +47,14 @@
 // stale work never drains ahead of fresh arrivals), while retry-budget +
 // breaker + shedding recovers within the same trace.
 //
-// Determinism: stage 1 precomputes every (request, tier, attempt-slot)
-// machine outcome — normal and stormed variants — with
-// exec::parallel_map_trials; stage 2 is a sequential integer event-driven
-// simulation over a (time, seq)-ordered queue. Every output, including
-// per-phase goodput and all percentile trajectories, is bitwise identical
-// for any --threads value.
+// Determinism: every attempt's outcome is a pure function of (request,
+// tier, attempt slot, storm exposure), seeded from the request's own
+// exec::parallel_map_trials stream. Stage 1 runs each request's first,
+// unstormed try at every tier in parallel; stage 2 is a sequential integer
+// event-driven simulation over a (time, seq)-ordered queue that runs every
+// other attempt (retries, hedges, stormed tries) on demand when it
+// dispatches it. Every output, including per-phase goodput and all
+// percentile trajectories, is bitwise identical for any --threads value.
 #pragma once
 
 #include <map>
@@ -204,9 +206,10 @@ struct TopologyResult {
   u64 cow_pages_copied = 0;
   u64 backoff_cycles = 0;
 
-  // Stage-1 work: every precomputed attempt, whether or not stage 2
-  // dispatched it.
-  u64 stage1_attempts = 0;     ///< machines run (normal + stormed slots)
+  // Machine work: every attempt run — each (request, tier)'s first try,
+  // whether or not stage 2 dispatched it, plus each attempt run on demand.
+  u64 attempts_run = 0;        ///< machines run (>= forks)
+  u64 cow_pages_run = 0;       ///< pages they privatised (>= cow_pages_copied)
   u64 plan_entries_drawn = 0;  ///< fault-plan entries the engines drew
   u64 faults_delivered = 0;    ///< faults the engines delivered (<= drawn)
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -401,6 +402,139 @@ TEST(Topology, ResultsAreThreadCountInvariant) {
   EXPECT_FALSE(a.trace_json.empty());
 }
 
+/// FNV-1a over every outcome field of a result: everything but the
+/// machine-work counters (attempts_run, cow_pages_run, plan_entries_drawn,
+/// faults_delivered), which count the machines run, not what the
+/// simulated topology did.
+class OutcomeDigest {
+ public:
+  void add(u64 value) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<u8>(value >> (8 * i)));
+  }
+  void add(const std::string& text) {
+    add(text.size());
+    for (const char c : text) byte(static_cast<u8>(c));
+  }
+  void add(const obs::LogHistogram& hist) {
+    add(hist.count());
+    add(hist.sum());
+    add(hist.min());
+    add(hist.max());
+    for (const u64 count : hist.counts()) add(count);
+  }
+  [[nodiscard]] u64 value() const { return hash_; }
+
+ private:
+  void byte(u8 b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001b3ULL;
+  }
+  u64 hash_ = 0xcbf29ce484222325ULL;
+};
+
+u64 outcome_digest(const TopologyResult& r) {
+  OutcomeDigest d;
+  for (const u64 v :
+       {r.requests, r.completed, r.dropped, r.failed, r.goodput,
+        r.deadline_missed, r.crashed_attempts, r.retries,
+        r.retry_budget_denied, r.hedges, r.breaker_trips, r.breaker_probes,
+        r.forks, r.cow_pages_copied, r.backoff_cycles, r.makespan_cycles,
+        r.deadline_cycles, r.storm_begin_cycles, r.storm_end_cycles,
+        r.mean_service_cycles, r.mean_interarrival_cycles,
+        r.gauge_samples}) {
+    d.add(v);
+  }
+  for (const auto& [cause, count] : r.drops) {
+    d.add(cause);
+    d.add(count);
+  }
+  for (const TierStats& t : r.tiers) {
+    for (const u64 v :
+         {t.dispatched, t.completed, t.crashed_attempts, t.retries,
+          t.retry_budget_denied, t.hedges, t.breaker_trips, t.breaker_probes,
+          t.backoff_cycles, t.queue_depth_max}) {
+      d.add(v);
+    }
+    d.add(t.latency);
+    d.add(t.queue_wait);
+  }
+  for (const PhaseStats* p : {&r.pre_storm, &r.storm, &r.post_storm}) {
+    d.add(p->arrivals);
+    d.add(p->completed);
+    d.add(p->goodput);
+  }
+  d.add(r.latency);
+  d.add(std::bit_cast<u64>(r.goodput_rps));
+  d.add(r.metrics.to_json());
+  d.add(r.trace_json);
+  return d.value();
+}
+
+// Pins every outcome of configurations no bench reference covers: hedging
+// with the full retry ladder (so a request can use every attempt slot of a
+// tier), drop_expired, and the full tail sweep's largest arm. The digests
+// were taken when stage 1 still precomputed every (request, tier, slot)
+// in both exposures; running attempts on demand must not move them, at
+// any thread count.
+TEST(Topology, OutcomeDigestsArePinned) {
+  struct Case {
+    const char* name;
+    TopologyConfig config;
+    u64 digest;
+  };
+  std::vector<Case> cases;
+  {
+    // Storm + breaker + shedding + drop_expired, with hedges steering
+    // duplicates off the stormed pool.
+    TopologyConfig config = storm_config();
+    apply_mitigation(config, Mitigation::kBreakerShed);
+    config.requests = 200;
+    config.max_restarts = 3;
+    config.hedge_after_cycles = 4'000;
+    cases.push_back({"hedged_storm_breaker_shed", config, 0x1e167fba592cac9bULL});
+  }
+  {
+    // Unmitigated hedging under heavy baseline faults: some requests use
+    // a tier's last slot (primary, hedge, then three retries).
+    TopologyConfig config = base_config();
+    config.requests = 150;
+    config.load_percent = 140;
+    config.max_restarts = 3;
+    config.hedge_after_cycles = 500;
+    config.faults_per_million = 1500;
+    cases.push_back({"hedged_faulted_unmitigated", config, 0x3b4b6ac0e7e177f5ULL});
+  }
+  {
+    // bench_serving_topology's full tail sweep, pacstack, load 120.
+    TopologyConfig config;
+    config.tiers = 1;
+    config.pools_per_tier = 1;
+    config.workers_per_pool = 4;
+    config.requests = 250;
+    config.load_percent = 120;
+    config.queue_capacity = 32;
+    config.max_restarts = 3;
+    config.faults_per_million = 60;
+    config.seed = 180;
+    cases.push_back({"full_tail_load120_f60", config, 0xcdc408f638f44e79ULL});
+  }
+  for (Case& c : cases) {
+    c.config.collect_metrics = true;
+    c.config.trace = true;
+    for (const unsigned threads : {1U, 3U}) {
+      c.config.threads = threads;
+      const auto result = run_topology_simulation(Scheme::kPacStack, c.config);
+      EXPECT_GT(result.retries, 0U) << c.name;
+      if (c.config.hedge_after_cycles > 0) {
+        EXPECT_GT(result.hedges, 0U) << c.name;
+      }
+      EXPECT_EQ(outcome_digest(result), c.digest)
+          << c.name << " at " << threads << " threads: 0x" << std::hex
+          << outcome_digest(result);
+    }
+  }
+}
+
 // --- observability --------------------------------------------------------
 
 TEST(Topology, TraceCarriesTierAndMitigationSpans) {
@@ -447,29 +581,33 @@ TEST(Topology, MetricsExposeTheTopoCounters) {
   EXPECT_GT(result.metrics.counter("obs.span.begin"), 0U);
 }
 
-// --- stage-1 work -----------------------------------------------------------
+// --- machine work ---------------------------------------------------------
 
 TEST(Topology, ReportsStageOneWork) {
   TopologyConfig config = storm_config();
   config.requests = 60;
   const auto stormed = run_topology_simulation(Scheme::kPacStack, config);
-  // Every (request, tier, slot) runs a normal attempt; the storm tier's
-  // slots also run a stormed one.
-  const u64 slots = config.max_restarts + 1;
-  const u64 stormed_attempts = config.requests * slots;
-  EXPECT_EQ(stormed.stage1_attempts,
-            config.requests * config.tiers * slots + stormed_attempts);
+  // Every (request, tier) runs its first try ahead of time, dispatched or
+  // not; every other dispatch runs its own machine on demand.
+  const u64 first_tries = config.requests * config.tiers;
+  EXPECT_LE(stormed.forks, stormed.attempts_run);
+  EXPECT_LE(stormed.attempts_run, stormed.forks + first_tries);
+  EXPECT_GT(stormed.attempts_run, first_tries);  // the storm forced retries
+  EXPECT_GE(stormed.cow_pages_run, stormed.cow_pages_copied);
   EXPECT_GT(stormed.faults_delivered, 0U);
   EXPECT_LE(stormed.faults_delivered, stormed.plan_entries_drawn);
-  // Plans are drawn on demand: a budget-exhaust storm kills the attempt
-  // at its first fault, so an attempt draws that fault plus one
+  // Only stormed attempts draw faults here, and they all run on demand.
+  // Plans are drawn on demand too: a budget-exhaust storm kills the
+  // attempt at its first fault, so an attempt draws that fault plus one
   // look-ahead — not the ~3,200 faults its whole budget would hold.
-  EXPECT_LE(stormed.plan_entries_drawn, 2 * stormed_attempts);
+  EXPECT_LE(stormed.plan_entries_drawn,
+            2 * (stormed.attempts_run - first_tries));
 
+  // Nothing crashes, so every request runs exactly its first tries.
   const auto clean = run_topology_simulation(Scheme::kPacStack, base_config());
-  EXPECT_EQ(clean.stage1_attempts, base_config().requests *
-                                       base_config().tiers *
-                                       (base_config().max_restarts + 1));
+  EXPECT_EQ(clean.forks, base_config().requests * base_config().tiers);
+  EXPECT_EQ(clean.attempts_run, clean.forks);
+  EXPECT_EQ(clean.cow_pages_run, clean.cow_pages_copied);
   EXPECT_EQ(clean.plan_entries_drawn, 0U);
   EXPECT_EQ(clean.faults_delivered, 0U);
 }

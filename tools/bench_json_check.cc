@@ -244,7 +244,8 @@ std::string check_lint_section(const Value& lint) {
 /// Validate the optional "topology" section (multi-tier serving topology
 /// totals, see docs/bench-output.md): numeric totals with the accounting
 /// identities (completed + dropped + failed == requests; goodput +
-/// deadline_missed == completed; faults_delivered <= plan_entries_drawn),
+/// deadline_missed == completed; faults_delivered <= plan_entries_drawn;
+/// attempts_run >= forks; cow_pages_run >= cow_pages_copied),
 /// a {cause: number} "drops" map, and a {tag: entry} "configs" map whose
 /// entries carry per-phase goodput (goodput <= arrivals per phase) and a
 /// monotone latency summary.
@@ -257,7 +258,8 @@ std::string check_topology_section(const Value& topology) {
         "deadline_missed", "crashed_attempts", "retries",
         "retry_budget_denied", "hedges", "breaker_trips", "breaker_probes",
         "forks", "cow_pages_copied", "backoff_cycles", "gauge_samples",
-        "stage1_attempts", "plan_entries_drawn", "faults_delivered"}) {
+        "attempts_run", "cow_pages_run", "plan_entries_drawn",
+        "faults_delivered"}) {
     const Value* v = find(*top, key);
     if (v == nullptr || !v->is_number()) {
       return std::string("'topology.") + key + "' missing or not a number";
@@ -279,6 +281,14 @@ std::string check_topology_section(const Value& topology) {
       find(*top, "plan_entries_drawn")->number()) {
     return "'topology' fault accounting broken "
            "(faults_delivered > plan_entries_drawn)";
+  }
+  if (find(*top, "attempts_run")->number() < find(*top, "forks")->number()) {
+    return "'topology' attempt accounting broken (attempts_run < forks)";
+  }
+  if (find(*top, "cow_pages_run")->number() <
+      find(*top, "cow_pages_copied")->number()) {
+    return "'topology' CoW accounting broken "
+           "(cow_pages_run < cow_pages_copied)";
   }
 
   const Value* drops = find(*top, "drops");
