@@ -200,6 +200,6 @@ int main(int argc, char** argv) {
     if (ok) std::printf("[profile] wrote %s\n", options.profile_path.c_str());
   }
   if (collect_metrics) reporter.set_obs_metrics(std::move(obs_metrics));
-  reporter.set_fault_section(std::move(fault_totals));
+  reporter.set_section(std::move(fault_totals));
   return (reporter.finish() && ok) ? 0 : 1;
 }

@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
                     geomean, "percent", specs.size());
   }
 
-  reporter.set_kernels_section(std::move(section));
+  reporter.set_section(std::move(section));
   reporter.set_obs_metrics(std::move(obs_totals));
   return reporter.finish() ? 0 : 1;
 }

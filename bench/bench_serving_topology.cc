@@ -135,12 +135,12 @@ int main(int argc, char** argv) {
         .crashed_attempts = result.crashed_attempts,
         .retries = result.retries,
         .breaker_trips = result.breaker_trips,
-        .pre_storm_arrivals = result.pre_storm.arrivals,
-        .pre_storm_goodput = result.pre_storm.goodput,
-        .storm_arrivals = result.storm.arrivals,
-        .storm_goodput = result.storm.goodput,
-        .post_storm_arrivals = result.post_storm.arrivals,
-        .post_storm_goodput = result.post_storm.goodput,
+        .phases = {.pre_storm = {.arrivals = result.pre_storm.arrivals,
+                                 .goodput = result.pre_storm.goodput},
+                   .storm = {.arrivals = result.storm.arrivals,
+                             .goodput = result.storm.goodput},
+                   .post_storm = {.arrivals = result.post_storm.arrivals,
+                                  .goodput = result.post_storm.goodput}},
         .latency =
             bench::LatencySummary{
                 .p50 = result.latency.p50(),
@@ -297,6 +297,6 @@ int main(int argc, char** argv) {
     if (ok) std::printf("[trace] wrote %s\n", options.trace_path.c_str());
   }
   if (collect_metrics) reporter.set_obs_metrics(std::move(obs_metrics));
-  reporter.set_topology_section(std::move(totals));
+  reporter.set_section(std::move(totals));
   return (reporter.finish() && ok) ? 0 : 1;
 }

@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
     if (!trial.ok) diverged = true;
   }
   sim.equivalence_runs = 2 * sweep_trials;
-  sim.equivalence_fingerprint = fingerprint;
+  sim.equivalence_fingerprint = bench::Hex64{fingerprint};
 
   const double alu_speedup = alu_decoded.ips / alu_interp.ips;
   Table table({"workload", "path", "instr/sec", "speedup"});
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
   reporter.record("ips_decoded_alu", alu_decoded.ips, "instr/s");
   reporter.record("dispatch_speedup_alu", alu_speedup, "ratio");
   reporter.record("forks_per_sec", sim.forks_per_sec, "forks/s");
-  reporter.set_sim_section(sim);
+  reporter.set_section(sim);
   if (!reporter.finish()) return 1;
 
   if (diverged) {

@@ -24,12 +24,17 @@
 
 #include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/types.h"
 #include "obs/metrics.h"
 
 namespace acs::bench {
+
+namespace json {
+struct Value;
+}  // namespace json
 
 struct BenchOptions {
   unsigned threads = 1;      ///< 0 = all hardware threads
@@ -59,16 +64,46 @@ struct Metric {
   double stddev = 0;   ///< sample stddev across trials (0 = n/a)
 };
 
+// Trajectory sections. Each section struct names its JSON key in `kName`
+// and lists its JSON fields once, in emission order, in a `fields(f)`
+// member template that calls f(key, member) per field. The writer
+// (to_json) and the checker (check_trajectory) both walk that list, so a
+// field is declared, written and validated from one line. Field kinds:
+//   u64, double                 a JSON number
+//   Hex64                       a "0x%016llx" string
+//   std::map<std::string, u64>  a counter object, written inline
+//   a struct with fields()      a nested object, written inline
+//   std::map<std::string, S>    an object of S entries keyed by tag,
+//                               one field per line
+// Cross-field identities (e.g. completed + dropped + failed == requests)
+// are not expressible as a kind; check_trajectory spells them out.
+
+/// A 64-bit digest, written to JSON as a "0x%016llx" string.
+struct Hex64 {
+  u64 value = 0;
+};
+
 /// Fault-injection campaign totals, emitted as the "faults" section of the
 /// JSON trajectory (see docs/bench-output.md). Integer counters aggregated
 /// in fixed trial order — bitwise identical for every --threads value.
 struct FaultSection {
+  static constexpr const char* kName = "faults";
   std::map<std::string, u64> injected;  ///< delivered, by inject kind name
   std::map<std::string, u64> crashes;   ///< worker crashes, by sim fault name
   u64 restarts = 0;
   u64 guess_attempts = 0;
   u64 guess_successes = 0;
   u64 backoff_cycles = 0;
+
+  template <class F>
+  void fields(F&& f) {
+    f("injected", injected);
+    f("crashes", crashes);
+    f("restarts", restarts);
+    f("guess_attempts", guess_attempts);
+    f("guess_successes", guess_successes);
+    f("backoff_cycles", backoff_cycles);
+  }
 };
 
 /// Fuzzing campaign totals, emitted as the "fuzz" section of the JSON
@@ -77,14 +112,27 @@ struct FaultSection {
 /// --threads value under a fixed candidate budget, which is exactly the
 /// determinism claim the ctest pins.
 struct FuzzSection {
+  static constexpr const char* kName = "fuzz";
   u64 candidates = 0;        ///< candidates evaluated (incl. discarded)
   u64 viable = 0;            ///< candidates at least one oracle applied to
   u64 executions = 0;        ///< machine runs across all oracles
   u64 rounds = 0;
   u64 corpus_size = 0;       ///< entries kept by the coverage scheduler
   u64 features_covered = 0;  ///< distinct features in the final map
-  u64 coverage_fingerprint = 0;  ///< FeatureMap::fingerprint(), hex in JSON
+  Hex64 coverage_fingerprint;  ///< FeatureMap::fingerprint()
   std::map<std::string, u64> findings_by_oracle;  ///< oracle name -> count
+
+  template <class F>
+  void fields(F&& f) {
+    f("candidates", candidates);
+    f("viable", viable);
+    f("executions", executions);
+    f("rounds", rounds);
+    f("corpus_size", corpus_size);
+    f("features_covered", features_covered);
+    f("coverage_fingerprint", coverage_fingerprint);
+    f("findings", findings_by_oracle);
+  }
 };
 
 /// Static-verifier totals, emitted as the "lint" section of the JSON
@@ -93,6 +141,7 @@ struct FuzzSection {
 /// bitwise identical for every --threads value. Replay counters stay zero
 /// unless the run replayed witnesses (acs-lint --replay).
 struct LintSection {
+  static constexpr const char* kName = "lint";
   u64 programs = 0;             ///< (scheme, workload) pairs verified
   u64 functions_verified = 0;
   u64 diagnostics = 0;
@@ -102,6 +151,19 @@ struct LintSection {
   u64 replays_unconfirmed = 0;
   std::map<std::string, u64> findings_by_code;      ///< "ACS001" -> count
   std::map<std::string, u64> findings_by_function;  ///< function -> count
+
+  template <class F>
+  void fields(F&& f) {
+    f("programs", programs);
+    f("functions_verified", functions_verified);
+    f("diagnostics", diagnostics);
+    f("witnesses", witnesses);
+    f("replays_confirmed", replays_confirmed);
+    f("replays_refuted", replays_refuted);
+    f("replays_unconfirmed", replays_unconfirmed);
+    f("findings_by_code", findings_by_code);
+    f("findings_by_function", findings_by_function);
+  }
 };
 
 /// Simulator-throughput totals, emitted as the "sim" section of the JSON
@@ -112,6 +174,7 @@ struct LintSection {
 /// value (bench_sim_throughput exits non-zero if the dispatch modes ever
 /// diverge).
 struct SimSection {
+  static constexpr const char* kName = "sim";
   u64 instructions = 0;      ///< instructions retired per measured run
   double ips_interpreter = 0;  ///< instr/sec, re-decode-per-step path
   double ips_decoded = 0;      ///< instr/sec, predecoded fast path
@@ -119,7 +182,19 @@ struct SimSection {
   double forks_per_sec = 0;    ///< CoW Machine forks constructed per second
   u64 cow_private_pages = 0;   ///< pages one fork privatised by running
   u64 equivalence_runs = 0;    ///< machine runs folded into the fingerprint
-  u64 equivalence_fingerprint = 0;  ///< digest of outcomes, hex in JSON
+  Hex64 equivalence_fingerprint;  ///< digest of outcomes
+
+  template <class F>
+  void fields(F&& f) {
+    f("instructions", instructions);
+    f("ips_interpreter", ips_interpreter);
+    f("ips_decoded", ips_decoded);
+    f("speedup", speedup);
+    f("forks_per_sec", forks_per_sec);
+    f("cow_private_pages", cow_private_pages);
+    f("equivalence_runs", equivalence_runs);
+    f("equivalence_fingerprint", equivalence_fingerprint);
+  }
 };
 
 /// One configuration's end-to-end latency summary: integer simulated
@@ -132,6 +207,43 @@ struct LatencySummary {
   u64 p999 = 0;
   u64 max = 0;
   u64 count = 0;  ///< completed requests behind the percentiles
+
+  template <class F>
+  void fields(F&& f) {
+    f("p50", p50);
+    f("p90", p90);
+    f("p99", p99);
+    f("p999", p999);
+    f("max", max);
+    f("count", count);
+  }
+};
+
+/// Arrivals in one storm phase, and how many of them completed within
+/// their deadline.
+struct PhaseCounts {
+  u64 arrivals = 0;
+  u64 goodput = 0;
+
+  template <class F>
+  void fields(F&& f) {
+    f("arrivals", arrivals);
+    f("goodput", goodput);
+  }
+};
+
+/// Requests split by arrival time relative to the storm window.
+struct Phases {
+  PhaseCounts pre_storm;
+  PhaseCounts storm;
+  PhaseCounts post_storm;
+
+  template <class F>
+  void fields(F&& f) {
+    f("pre_storm", pre_storm);
+    f("storm", storm);
+    f("post_storm", post_storm);
+  }
 };
 
 /// One topology sweep configuration's outcome (bench_serving_topology):
@@ -149,13 +261,23 @@ struct TopologyEntry {
   u64 crashed_attempts = 0;
   u64 retries = 0;
   u64 breaker_trips = 0;
-  u64 pre_storm_arrivals = 0;
-  u64 pre_storm_goodput = 0;
-  u64 storm_arrivals = 0;
-  u64 storm_goodput = 0;
-  u64 post_storm_arrivals = 0;
-  u64 post_storm_goodput = 0;
+  Phases phases;
   LatencySummary latency;
+
+  template <class F>
+  void fields(F&& f) {
+    f("requests", requests);
+    f("completed", completed);
+    f("dropped", dropped);
+    f("failed", failed);
+    f("goodput", goodput);
+    f("deadline_missed", deadline_missed);
+    f("crashed_attempts", crashed_attempts);
+    f("retries", retries);
+    f("breaker_trips", breaker_trips);
+    f("phases", phases);
+    f("latency", latency);
+  }
 };
 
 /// Multi-tier topology totals, emitted as the "topology" section of the
@@ -165,6 +287,7 @@ struct TopologyEntry {
 /// integers in fixed sweep order — bitwise identical for every --threads
 /// value (pinned by the bench_topology_invariance ctest target).
 struct TopologySection {
+  static constexpr const char* kName = "topology";
   u64 requests = 0;
   u64 completed = 0;
   u64 dropped = 0;
@@ -187,6 +310,32 @@ struct TopologySection {
   u64 faults_delivered = 0;    ///< faults delivered (<= plan_entries_drawn)
   std::map<std::string, u64> drops;  ///< terminal cause -> count, summed
   std::map<std::string, TopologyEntry> configs;  ///< config tag -> outcome
+
+  template <class F>
+  void fields(F&& f) {
+    f("requests", requests);
+    f("completed", completed);
+    f("dropped", dropped);
+    f("failed", failed);
+    f("goodput", goodput);
+    f("deadline_missed", deadline_missed);
+    f("crashed_attempts", crashed_attempts);
+    f("retries", retries);
+    f("retry_budget_denied", retry_budget_denied);
+    f("hedges", hedges);
+    f("breaker_trips", breaker_trips);
+    f("breaker_probes", breaker_probes);
+    f("forks", forks);
+    f("cow_pages_copied", cow_pages_copied);
+    f("backoff_cycles", backoff_cycles);
+    f("gauge_samples", gauge_samples);
+    f("attempts_run", attempts_run);
+    f("cow_pages_run", cow_pages_run);
+    f("plan_entries_drawn", plan_entries_drawn);
+    f("faults_delivered", faults_delivered);
+    f("drops", drops);
+    f("configs", configs);
+  }
 };
 
 /// One (kernel point, scheme) measurement of the synthetic-kernel sweep
@@ -207,6 +356,21 @@ struct KernelEntry {
   double overhead_percent = 0;  ///< cycles vs the kNone run, same kernel
   double cycles_per_call = 0;
   double cycles_per_instruction = 0;
+
+  template <class F>
+  void fields(F&& f) {
+    f("functions", functions);
+    f("static_calls", static_calls);
+    f("static_depth", static_depth);
+    f("cycles", cycles);
+    f("instructions", instructions);
+    f("calls", calls);
+    f("pa_instructions", pa_instructions);
+    f("chain_pushes", chain_pushes);
+    f("overhead_percent", overhead_percent);
+    f("cycles_per_call", cycles_per_call);
+    f("cycles_per_instruction", cycles_per_instruction);
+  }
 };
 
 /// Synthetic-kernel overhead surface, emitted as the "kernels" section of
@@ -215,13 +379,28 @@ struct KernelEntry {
 /// bitwise identical for every --threads value (pinned by the
 /// bench_kernels_invariance ctest target).
 struct KernelsSection {
+  static constexpr const char* kName = "kernels";
   u64 kernels = 0;  ///< distinct (family, point) kernels measured
   u64 schemes = 0;
   u64 runs = 0;     ///< machine runs behind the entries
   u64 total_cycles = 0;
   u64 total_instructions = 0;
   std::map<std::string, KernelEntry> entries;
+
+  template <class F>
+  void fields(F&& f) {
+    f("kernels", kernels);
+    f("schemes", schemes);
+    f("runs", runs);
+    f("total_cycles", total_cycles);
+    f("total_instructions", total_instructions);
+    f("entries", entries);
+  }
 };
+
+/// Any one trajectory section, in emission order.
+using Section = std::variant<FaultSection, FuzzSection, SimSection,
+                             LintSection, TopologySection, KernelsSection>;
 
 /// Collects metrics during a bench run and writes the machine-readable
 /// trajectory on finish(). Wall-clock time is measured from construction
@@ -240,29 +419,9 @@ class BenchReporter {
   /// section of the JSON trajectory; see docs/bench-output.md).
   void set_obs_metrics(obs::Metrics metrics);
 
-  /// Attach the fault-injection campaign totals (emitted as the "faults"
-  /// section of the JSON trajectory).
-  void set_fault_section(FaultSection faults);
-
-  /// Attach the fuzzing campaign totals (emitted as the "fuzz" section of
-  /// the JSON trajectory).
-  void set_fuzz_section(FuzzSection fuzz);
-
-  /// Attach the simulator-throughput totals (emitted as the "sim" section
-  /// of the JSON trajectory).
-  void set_sim_section(SimSection sim);
-
-  /// Attach the static-verifier totals (emitted as the "lint" section of
-  /// the JSON trajectory).
-  void set_lint_section(LintSection lint);
-
-  /// Attach the multi-tier topology totals (emitted as the "topology"
-  /// section of the JSON trajectory).
-  void set_topology_section(TopologySection topology);
-
-  /// Attach the synthetic-kernel overhead surface (emitted as the
-  /// "kernels" section of the JSON trajectory).
-  void set_kernels_section(KernelsSection kernels);
+  /// Attach a section (emitted under its kName; see docs/bench-output.md).
+  /// A second section of the same type replaces the first.
+  void set_section(Section section);
 
   /// Write the JSON file if --json was given. Returns false (after
   /// printing to stderr) if the file cannot be written. Idempotent.
@@ -280,18 +439,7 @@ class BenchReporter {
   std::vector<Metric> metrics_;
   obs::Metrics obs_metrics_;
   bool has_obs_metrics_ = false;
-  FaultSection fault_section_;
-  bool has_fault_section_ = false;
-  FuzzSection fuzz_section_;
-  bool has_fuzz_section_ = false;
-  SimSection sim_section_;
-  bool has_sim_section_ = false;
-  LintSection lint_section_;
-  bool has_lint_section_ = false;
-  TopologySection topology_section_;
-  bool has_topology_section_ = false;
-  KernelsSection kernels_section_;
-  bool has_kernels_section_ = false;
+  std::vector<Section> sections_;
   long long start_ns_;
   bool finished_ = false;
 };
@@ -299,21 +447,19 @@ class BenchReporter {
 /// Serialise a trajectory to the docs/bench-output.md JSON schema.
 /// Exposed separately so tests can check the encoding without touching the
 /// filesystem. `obs_metrics` (may be nullptr) adds the "obs" section;
-/// `faults` (may be nullptr) adds the "faults" section; `fuzz` (may be
-/// nullptr) adds the "fuzz" section; `sim` (may be nullptr) adds the "sim"
-/// section; `lint` (may be nullptr) adds the "lint" section; `topology`
-/// and `kernels` (may be nullptr) add their sections likewise.
+/// `sections` are written in the given order, each under its kName.
 [[nodiscard]] std::string to_json(const std::string& bench_name,
                                   const BenchOptions& options, u64 base_seed,
                                   const std::vector<Metric>& metrics,
                                   double wall_seconds,
                                   const obs::Metrics* obs_metrics = nullptr,
-                                  const FaultSection* faults = nullptr,
-                                  const FuzzSection* fuzz = nullptr,
-                                  const SimSection* sim = nullptr,
-                                  const LintSection* lint = nullptr,
-                                  const TopologySection* topology = nullptr,
-                                  const KernelsSection* kernels = nullptr);
+                                  const std::vector<Section>& sections = {});
+
+/// Validate a parsed trajectory against the docs/bench-output.md schema:
+/// the top-level keys, the "obs" section, every present section's fields
+/// (from its fields() list), the cross-field identities and the metrics
+/// records. Returns an empty string on success, else the reason.
+[[nodiscard]] std::string check_trajectory(const json::Value& root);
 
 /// Write `body` to `path` (truncating); on failure prints to stderr and
 /// returns false. Used for the --json/--trace/--profile sinks.

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cctype>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <memory>
@@ -232,6 +233,29 @@ class Parser {
 inline const Value* find(const Object& object, const std::string& key) {
   const auto it = object.find(key);
   return it == object.end() ? nullptr : &it->second;
+}
+
+/// The parser accepts printf-style nan/inf tokens so tools can diagnose
+/// them; a validated artifact must not contain any. Returns the dotted
+/// path (below `path`) of the first non-finite numeric leaf, or empty.
+inline std::string find_nonfinite(const Value& value,
+                                  const std::string& path = "") {
+  if (value.is_number() && !std::isfinite(value.number())) return path;
+  if (const Object* object = value.object()) {
+    for (const auto& [key, child] : *object) {
+      std::string bad =
+          find_nonfinite(child, path.empty() ? key : path + "." + key);
+      if (!bad.empty()) return bad;
+    }
+  }
+  if (const Array* array = value.array()) {
+    for (std::size_t i = 0; i < array->size(); ++i) {
+      std::string bad = find_nonfinite(
+          (*array)[i], path + "[" + std::to_string(i) + "]");
+      if (!bad.empty()) return bad;
+    }
+  }
+  return {};
 }
 
 }  // namespace acs::bench::json

@@ -303,7 +303,7 @@ int campaign(const Options& options) {
   section.rounds = result.rounds;
   section.corpus_size = result.corpus_size;
   section.features_covered = result.coverage.size();
-  section.coverage_fingerprint = result.fingerprint();
+  section.coverage_fingerprint = bench::Hex64{result.fingerprint()};
 
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     const fuzz::FoundCase& found = result.findings[i];
@@ -326,7 +326,7 @@ int campaign(const Options& options) {
     }
   }
 
-  reporter.set_fuzz_section(section);
+  reporter.set_section(section);
   reporter.record("candidates", static_cast<double>(result.candidates),
                   "programs");
   reporter.record("features_covered",

@@ -446,7 +446,7 @@ int run(const Options& options) {
   if (options.expect) {
     reporter.record("expect_met", expect_met ? 1.0 : 0.0, "bool");
   }
-  reporter.set_lint_section(std::move(lint));
+  reporter.set_section(std::move(lint));
   if (!reporter.finish()) return 1;
   return expect_met && replays_ok ? 0 : 1;
 }
