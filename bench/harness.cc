@@ -7,8 +7,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <type_traits>
+#include <utility>
 
 #include "bench/json_view.h"
+#include "common/json.h"
 
 namespace acs::bench {
 namespace {
@@ -65,39 +68,6 @@ void print_usage(const char* bench_name, const char* extra_usage,
     std::exit(2);
   }
   return static_cast<unsigned>(parsed);
-}
-
-/// JSON string escaping for the small subset we emit (metric names, units,
-/// paths): control characters, quotes, backslashes.
-[[nodiscard]] std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Shortest-round-trip double formatting; %.17g always round-trips and
-/// avoids locale-dependent streams.
-[[nodiscard]] std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -166,62 +136,98 @@ bool write_file(const std::string& path, const std::string& body,
 
 namespace {
 
-/// {"name": count, ...} with std::map (sorted-key) iteration order.
-[[nodiscard]] std::string counter_map_json(
-    const std::map<std::string, u64>& counters) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, count] : counters) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"';
-    out += escape_json(name);
-    out += "\": ";
-    out += std::to_string(count);
-  }
-  out += "}";
-  return out;
+// --- Field-list walking, shared by the writer and the checker. ---
+
+/// Calls f(key, const member&) for every field in `s`'s fields() list.
+/// The list is written once, non-const; this adapter only hands out const
+/// references, so nothing is ever written through the cast.
+template <class S, class F>
+void for_each_field(const S& s, F&& f) {
+  const_cast<S&>(s).fields(
+      [&](const char* key, auto& value) { f(key, std::as_const(value)); });
 }
 
-}  // namespace
+template <class T>
+constexpr bool kIsNumber = std::is_same_v<T, u64> || std::is_same_v<T, double>;
 
-namespace {
+template <class T>
+constexpr bool kIsKeyedMap = false;
+template <class V>
+constexpr bool kIsKeyedMap<std::map<std::string, V>> = true;
 
-/// {"p50": ..., ..., "count": ...} — the LatencySummary encoding of the
-/// "topology" section.
-[[nodiscard]] std::string latency_summary_json(const LatencySummary& s) {
-  return "{\"p50\": " + std::to_string(s.p50) + ", \"p90\": " +
-         std::to_string(s.p90) + ", \"p99\": " + std::to_string(s.p99) +
-         ", \"p999\": " + std::to_string(s.p999) + ", \"max\": " +
-         std::to_string(s.max) + ", \"count\": " + std::to_string(s.count) +
-         "}";
-}
-
-}  // namespace
-
-/// The first section of type S in `sections`, or nullptr.
 template <class S>
-[[nodiscard]] const S* find_section(const std::vector<Section>& sections) {
-  for (const Section& section : sections) {
-    if (const S* s = std::get_if<S>(&section)) return s;
+void write_block(std::string& out, const S& s, int indent);
+
+/// One field's value. Counter maps and nested structs are written inline;
+/// an entry map writes each entry as a block at `indent` + 2.
+template <class T>
+void write_value(std::string& out, const T& value, int indent) {
+  if constexpr (std::is_same_v<T, u64>) {
+    out += std::to_string(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out += format_double(value);
+  } else if constexpr (std::is_same_v<T, Hex64>) {
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "\"0x%016llx\"",
+                  static_cast<unsigned long long>(value.value));
+    out += hex;
+  } else if constexpr (std::is_same_v<T, std::map<std::string, u64>>) {
+    const char* sep = "";
+    out += '{';
+    for (const auto& [name, count] : value) {
+      out += sep;
+      sep = ", ";
+      out += '"' + json_escape(name) + "\": " + std::to_string(count);
+    }
+    out += '}';
+  } else if constexpr (kIsKeyedMap<T>) {
+    const char* sep = "\n";
+    out += '{';
+    for (const auto& [tag, entry] : value) {
+      out += sep;
+      sep = ",\n";
+      out += std::string(indent + 2, ' ') + '"' + json_escape(tag) + "\": ";
+      write_block(out, entry, indent + 2);
+    }
+    if (!value.empty()) out += '\n' + std::string(indent, ' ');
+    out += '}';
+  } else {
+    const char* sep = "";
+    out += '{';
+    for_each_field(value, [&](const char* key, const auto& field) {
+      out += sep;
+      sep = ", ";
+      out += '"' + std::string(key) + "\": ";
+      write_value(out, field, indent);
+    });
+    out += '}';
   }
-  return nullptr;
 }
+
+/// `s` as an object with one field per line, closing brace at `indent`.
+template <class S>
+void write_block(std::string& out, const S& s, int indent) {
+  const char* sep = "\n";
+  out += '{';
+  for_each_field(s, [&](const char* key, const auto& field) {
+    out += sep;
+    sep = ",\n";
+    out += std::string(indent + 2, ' ') + '"' + key + "\": ";
+    write_value(out, field, indent + 2);
+  });
+  out += '\n' + std::string(indent, ' ') + '}';
+}
+
+}  // namespace
 
 std::string to_json(const std::string& bench_name,
                     const BenchOptions& options, u64 base_seed,
                     const std::vector<Metric>& metrics,
                     double wall_seconds, const obs::Metrics* obs_metrics,
                     const std::vector<Section>& sections) {
-  const auto* faults = find_section<FaultSection>(sections);
-  const auto* fuzz = find_section<FuzzSection>(sections);
-  const auto* sim = find_section<SimSection>(sections);
-  const auto* lint = find_section<LintSection>(sections);
-  const auto* topology = find_section<TopologySection>(sections);
-  const auto* kernels = find_section<KernelsSection>(sections);
   std::string out;
   out += "{\n";
-  out += "  \"bench\": \"" + escape_json(bench_name) + "\",\n";
+  out += "  \"bench\": \"" + json_escape(bench_name) + "\",\n";
   out += "  \"schema_version\": 1,\n";
   out += "  \"threads\": " + std::to_string(options.threads) + ",\n";
   out += "  \"seed\": " + std::to_string(base_seed) + ",\n";
@@ -233,206 +239,22 @@ std::string to_json(const std::string& bench_name,
     // this section is bitwise identical for every --threads value.
     out += "  \"obs\": " + obs_metrics->to_json(2) + ",\n";
   }
-  if (faults != nullptr) {
-    // Integer counters in fixed (sorted-key / trial) order — like "obs",
-    // bitwise identical for every --threads value.
-    out += "  \"faults\": {\n";
-    out += "    \"injected\": " + counter_map_json(faults->injected) + ",\n";
-    out += "    \"crashes\": " + counter_map_json(faults->crashes) + ",\n";
-    out += "    \"restarts\": " + std::to_string(faults->restarts) + ",\n";
-    out += "    \"guess_attempts\": " + std::to_string(faults->guess_attempts) +
-           ",\n";
-    out += "    \"guess_successes\": " +
-           std::to_string(faults->guess_successes) + ",\n";
-    out += "    \"backoff_cycles\": " + std::to_string(faults->backoff_cycles) +
-           "\n";
-    out += "  },\n";
-  }
-  if (fuzz != nullptr) {
-    // Integer counters in fixed (trial) order; the fingerprint is an
-    // order-independent set digest — bitwise identical for any --threads.
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(fuzz->coverage_fingerprint.value));
-    out += "  \"fuzz\": {\n";
-    out += "    \"candidates\": " + std::to_string(fuzz->candidates) + ",\n";
-    out += "    \"viable\": " + std::to_string(fuzz->viable) + ",\n";
-    out += "    \"executions\": " + std::to_string(fuzz->executions) + ",\n";
-    out += "    \"rounds\": " + std::to_string(fuzz->rounds) + ",\n";
-    out += "    \"corpus_size\": " + std::to_string(fuzz->corpus_size) + ",\n";
-    out += "    \"features_covered\": " +
-           std::to_string(fuzz->features_covered) + ",\n";
-    out += "    \"coverage_fingerprint\": \"" + std::string(fp) + "\",\n";
-    out += "    \"findings\": " + counter_map_json(fuzz->findings_by_oracle) +
-           "\n";
-    out += "  },\n";
-  }
-  if (sim != nullptr) {
-    // instr/sec rates are host-dependent; the counts and the equivalence
-    // fingerprint are bitwise identical for every --threads value.
-    char fp[32];
-    std::snprintf(fp, sizeof fp, "0x%016llx",
-                  static_cast<unsigned long long>(sim->equivalence_fingerprint.value));
-    out += "  \"sim\": {\n";
-    out += "    \"instructions\": " + std::to_string(sim->instructions) + ",\n";
-    out += "    \"ips_interpreter\": " + format_double(sim->ips_interpreter) +
-           ",\n";
-    out += "    \"ips_decoded\": " + format_double(sim->ips_decoded) + ",\n";
-    out += "    \"speedup\": " + format_double(sim->speedup) + ",\n";
-    out += "    \"forks_per_sec\": " + format_double(sim->forks_per_sec) +
-           ",\n";
-    out += "    \"cow_private_pages\": " +
-           std::to_string(sim->cow_private_pages) + ",\n";
-    out += "    \"equivalence_runs\": " +
-           std::to_string(sim->equivalence_runs) + ",\n";
-    out += "    \"equivalence_fingerprint\": \"" + std::string(fp) + "\"\n";
-    out += "  },\n";
-  }
-  if (lint != nullptr) {
-    // Pure function of the workload/scheme sets: integer counters in fixed
-    // iteration order, bitwise identical for every --threads value.
-    out += "  \"lint\": {\n";
-    out += "    \"programs\": " + std::to_string(lint->programs) + ",\n";
-    out += "    \"functions_verified\": " +
-           std::to_string(lint->functions_verified) + ",\n";
-    out += "    \"diagnostics\": " + std::to_string(lint->diagnostics) + ",\n";
-    out += "    \"witnesses\": " + std::to_string(lint->witnesses) + ",\n";
-    out += "    \"replays_confirmed\": " +
-           std::to_string(lint->replays_confirmed) + ",\n";
-    out += "    \"replays_refuted\": " +
-           std::to_string(lint->replays_refuted) + ",\n";
-    out += "    \"replays_unconfirmed\": " +
-           std::to_string(lint->replays_unconfirmed) + ",\n";
-    out += "    \"findings_by_code\": " +
-           counter_map_json(lint->findings_by_code) + ",\n";
-    out += "    \"findings_by_function\": " +
-           counter_map_json(lint->findings_by_function) + "\n";
-    out += "  },\n";
-  }
-  if (topology != nullptr) {
-    // Integer counters in fixed sweep order — like "obs", bitwise
-    // identical for every --threads value (the bench_topology_invariance
-    // ctest target pins the section at 1 vs 2 vs 8 threads).
-    out += "  \"topology\": {\n";
-    out += "    \"requests\": " + std::to_string(topology->requests) + ",\n";
-    out += "    \"completed\": " + std::to_string(topology->completed) + ",\n";
-    out += "    \"dropped\": " + std::to_string(topology->dropped) + ",\n";
-    out += "    \"failed\": " + std::to_string(topology->failed) + ",\n";
-    out += "    \"goodput\": " + std::to_string(topology->goodput) + ",\n";
-    out += "    \"deadline_missed\": " +
-           std::to_string(topology->deadline_missed) + ",\n";
-    out += "    \"crashed_attempts\": " +
-           std::to_string(topology->crashed_attempts) + ",\n";
-    out += "    \"retries\": " + std::to_string(topology->retries) + ",\n";
-    out += "    \"retry_budget_denied\": " +
-           std::to_string(topology->retry_budget_denied) + ",\n";
-    out += "    \"hedges\": " + std::to_string(topology->hedges) + ",\n";
-    out += "    \"breaker_trips\": " + std::to_string(topology->breaker_trips) +
-           ",\n";
-    out += "    \"breaker_probes\": " +
-           std::to_string(topology->breaker_probes) + ",\n";
-    out += "    \"forks\": " + std::to_string(topology->forks) + ",\n";
-    out += "    \"cow_pages_copied\": " +
-           std::to_string(topology->cow_pages_copied) + ",\n";
-    out += "    \"backoff_cycles\": " +
-           std::to_string(topology->backoff_cycles) + ",\n";
-    out += "    \"gauge_samples\": " + std::to_string(topology->gauge_samples) +
-           ",\n";
-    out += "    \"attempts_run\": " + std::to_string(topology->attempts_run) +
-           ",\n";
-    out += "    \"cow_pages_run\": " + std::to_string(topology->cow_pages_run) +
-           ",\n";
-    out += "    \"plan_entries_drawn\": " +
-           std::to_string(topology->plan_entries_drawn) + ",\n";
-    out += "    \"faults_delivered\": " +
-           std::to_string(topology->faults_delivered) + ",\n";
-    out += "    \"drops\": " + counter_map_json(topology->drops) + ",\n";
-    out += "    \"configs\": {";
-    bool first_config = true;
-    for (const auto& [tag, entry] : topology->configs) {
-      out += first_config ? "\n" : ",\n";
-      first_config = false;
-      out += "      \"" + escape_json(tag) + "\": {\n";
-      out += "        \"requests\": " + std::to_string(entry.requests) + ",\n";
-      out += "        \"completed\": " + std::to_string(entry.completed) +
-             ",\n";
-      out += "        \"dropped\": " + std::to_string(entry.dropped) + ",\n";
-      out += "        \"failed\": " + std::to_string(entry.failed) + ",\n";
-      out += "        \"goodput\": " + std::to_string(entry.goodput) + ",\n";
-      out += "        \"deadline_missed\": " +
-             std::to_string(entry.deadline_missed) + ",\n";
-      out += "        \"crashed_attempts\": " +
-             std::to_string(entry.crashed_attempts) + ",\n";
-      out += "        \"retries\": " + std::to_string(entry.retries) + ",\n";
-      out += "        \"breaker_trips\": " +
-             std::to_string(entry.breaker_trips) + ",\n";
-      out += "        \"phases\": {\"pre_storm\": {\"arrivals\": " +
-             std::to_string(entry.phases.pre_storm.arrivals) + ", \"goodput\": " +
-             std::to_string(entry.phases.pre_storm.goodput) +
-             "}, \"storm\": {\"arrivals\": " +
-             std::to_string(entry.phases.storm.arrivals) + ", \"goodput\": " +
-             std::to_string(entry.phases.storm.goodput) +
-             "}, \"post_storm\": {\"arrivals\": " +
-             std::to_string(entry.phases.post_storm.arrivals) + ", \"goodput\": " +
-             std::to_string(entry.phases.post_storm.goodput) + "}},\n";
-      out += "        \"latency\": " + latency_summary_json(entry.latency) +
-             "\n";
-      out += "      }";
-    }
-    out += topology->configs.empty() ? "}\n" : "\n    }\n";
-    out += "  },\n";
-  }
-  if (kernels != nullptr) {
-    // Integer cycle/instruction totals in fixed sweep order; the doubles
-    // are ratios of those integers — bitwise identical for every
-    // --threads value (the bench_kernels_invariance ctest target pins the
-    // section at 1 vs 2 vs 8 threads).
-    out += "  \"kernels\": {\n";
-    out += "    \"kernels\": " + std::to_string(kernels->kernels) + ",\n";
-    out += "    \"schemes\": " + std::to_string(kernels->schemes) + ",\n";
-    out += "    \"runs\": " + std::to_string(kernels->runs) + ",\n";
-    out += "    \"total_cycles\": " + std::to_string(kernels->total_cycles) +
-           ",\n";
-    out += "    \"total_instructions\": " +
-           std::to_string(kernels->total_instructions) + ",\n";
-    out += "    \"entries\": {";
-    bool first_entry = true;
-    for (const auto& [tag, entry] : kernels->entries) {
-      out += first_entry ? "\n" : ",\n";
-      first_entry = false;
-      out += "      \"" + escape_json(tag) + "\": {\n";
-      out += "        \"functions\": " + std::to_string(entry.functions) +
-             ",\n";
-      out += "        \"static_calls\": " +
-             std::to_string(entry.static_calls) + ",\n";
-      out += "        \"static_depth\": " +
-             std::to_string(entry.static_depth) + ",\n";
-      out += "        \"cycles\": " + std::to_string(entry.cycles) + ",\n";
-      out += "        \"instructions\": " +
-             std::to_string(entry.instructions) + ",\n";
-      out += "        \"calls\": " + std::to_string(entry.calls) + ",\n";
-      out += "        \"pa_instructions\": " +
-             std::to_string(entry.pa_instructions) + ",\n";
-      out += "        \"chain_pushes\": " +
-             std::to_string(entry.chain_pushes) + ",\n";
-      out += "        \"overhead_percent\": " +
-             format_double(entry.overhead_percent) + ",\n";
-      out += "        \"cycles_per_call\": " +
-             format_double(entry.cycles_per_call) + ",\n";
-      out += "        \"cycles_per_instruction\": " +
-             format_double(entry.cycles_per_instruction) + "\n";
-      out += "      }";
-    }
-    out += kernels->entries.empty() ? "}\n" : "\n    }\n";
-    out += "  },\n";
+  for (const Section& section : sections) {
+    std::visit(
+        [&](const auto& s) {
+          out += "  \"" + std::string(s.kName) + "\": ";
+          write_block(out, s, 2);
+          out += ",\n";
+        },
+        section);
   }
   out += "  \"metrics\": [";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     const Metric& m = metrics[i];
     out += (i == 0 ? "\n" : ",\n");
-    out += "    {\"name\": \"" + escape_json(m.name) + "\", ";
+    out += "    {\"name\": \"" + json_escape(m.name) + "\", ";
     out += "\"value\": " + format_double(m.value) + ", ";
-    out += "\"units\": \"" + escape_json(m.units) + "\", ";
+    out += "\"units\": \"" + json_escape(m.units) + "\", ";
     out += "\"trials\": " + std::to_string(m.trials) + ", ";
     out += "\"stddev\": " + format_double(m.stddev) + "}";
   }
@@ -498,347 +320,191 @@ std::string check_obs_section(const Value& obs) {
   return {};
 }
 
-/// Validate the optional "faults" section (fault-injection campaign
-/// totals, see docs/bench-output.md): {"injected": {kind: number},
-/// "crashes": {cause: number}, "restarts": number, "guess_attempts":
-/// number, "guess_successes": number, "backoff_cycles": number}.
-std::string check_faults_section(const Value& faults) {
-  const Object* top = faults.object();
-  if (top == nullptr) return "'faults' is not an object";
+/// The hex fingerprint format: "0x" and 16 lower-case hex digits.
+bool is_hex64(const std::string& s) {
+  return s.size() == 18 && s.compare(0, 2, "0x") == 0 &&
+         s.find_first_not_of("0123456789abcdef", 2) == std::string::npos;
+}
 
-  for (const char* key : {"injected", "crashes"}) {
-    const Value* counters = find(*top, key);
-    if (counters == nullptr || counters->object() == nullptr) {
-      return std::string("'faults.") + key + "' missing or not an object";
+template <class S>
+std::string check_fields(const Object& object, const S& s,
+                         const std::string& path);
+
+/// Presence and type of the value `v` (nullptr = absent) at `path`, by
+/// the kind of `field`.
+template <class T>
+std::string check_value(const Value* v, const T& field,
+                        const std::string& path) {
+  const std::string where = "'" + path + "'";
+  if constexpr (kIsNumber<T>) {
+    if (v == nullptr || !v->is_number()) {
+      return where + " missing or not a number";
     }
-    for (const auto& [name, value] : *counters->object()) {
-      if (!value.is_number()) {
-        return std::string("'faults.") + key + "." + name +
-               "' is not a number";
+  } else if constexpr (std::is_same_v<T, Hex64>) {
+    if (v == nullptr || !v->is_string()) {
+      return where + " missing or not a string";
+    }
+    if (!is_hex64(v->string())) {
+      return where + " is not an 0x-prefixed 64-bit hex string";
+    }
+  } else {
+    const Object* object = v == nullptr ? nullptr : v->object();
+    if (object == nullptr) return where + " missing or not an object";
+    if constexpr (kIsKeyedMap<T>) {
+      const typename T::mapped_type entry{};
+      for (const auto& [key, child] : *object) {
+        std::string error = check_value(&child, entry, path + "." + key);
+        if (!error.empty()) return error;
       }
-    }
-  }
-
-  for (const char* key :
-       {"restarts", "guess_attempts", "guess_successes", "backoff_cycles"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'faults.") + key + "' missing or not a number";
+    } else {
+      return check_fields(*object, field, path);
     }
   }
   return {};
 }
 
-/// Validate the optional "fuzz" section (fuzzing campaign totals, see
-/// docs/bench-output.md): numeric counters, a hex-string
-/// "coverage_fingerprint", and a {oracle: number} "findings" map.
-std::string check_fuzz_section(const Value& fuzz) {
-  const Object* top = fuzz.object();
-  if (top == nullptr) return "'fuzz' is not an object";
-
-  for (const char* key : {"candidates", "viable", "executions", "rounds",
-                          "corpus_size", "features_covered"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'fuzz.") + key + "' missing or not a number";
+template <class S>
+std::string check_fields(const Object& object, const S& s,
+                         const std::string& path) {
+  std::string error;
+  for_each_field(s, [&](const char* key, const auto& field) {
+    if (error.empty()) {
+      error = check_value(find(object, key), field, path + "." + key);
     }
-  }
+  });
+  return error;
+}
 
-  const Value* fingerprint = find(*top, "coverage_fingerprint");
-  if (fingerprint == nullptr || !fingerprint->is_string()) {
-    return "'fuzz.coverage_fingerprint' missing or not a string";
-  }
-  const std::string& fp = std::get<std::string>(fingerprint->data);
-  if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0 ||
-      fp.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
-    return "'fuzz.coverage_fingerprint' is not an 0x-prefixed 64-bit hex "
-           "string";
-  }
+/// A field already checked to be a number.
+double num(const Object& object, const char* key) {
+  return find(object, key)->number();
+}
 
-  const Value* findings = find(*top, "findings");
-  if (findings == nullptr || findings->object() == nullptr) {
-    return "'fuzz.findings' missing or not an object";
-  }
-  for (const auto& [name, value] : *findings->object()) {
-    if (!value.is_number()) {
-      return "'fuzz.findings." + name + "' is not a number";
-    }
-  }
+/// The identities between fields, which no field kind expresses. Called
+/// after check_fields accepted the section, so every field is present and
+/// typed. Faults, fuzz and sim have none.
+template <class S>
+std::string check_identities(const S&, const Object&) {
   return {};
 }
 
-/// Validate the optional "sim" section (simulator throughput totals, see
-/// docs/bench-output.md and docs/simulator.md): numeric counters and
-/// rates, plus a hex-string "equivalence_fingerprint".
-std::string check_sim_section(const Value& sim) {
-  const Object* top = sim.object();
-  if (top == nullptr) return "'sim' is not an object";
-
-  for (const char* key :
-       {"instructions", "ips_interpreter", "ips_decoded", "speedup",
-        "forks_per_sec", "cow_private_pages", "equivalence_runs"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'sim.") + key + "' missing or not a number";
-    }
-  }
-
-  const Value* fingerprint = find(*top, "equivalence_fingerprint");
-  if (fingerprint == nullptr || !fingerprint->is_string()) {
-    return "'sim.equivalence_fingerprint' missing or not a string";
-  }
-  const std::string& fp = std::get<std::string>(fingerprint->data);
-  if (fp.size() != 18 || fp.compare(0, 2, "0x") != 0 ||
-      fp.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
-    return "'sim.equivalence_fingerprint' is not an 0x-prefixed 64-bit hex "
-           "string";
-  }
-  return {};
-}
-
-/// Validate the optional "lint" section (static-verifier totals, see
-/// docs/bench-output.md): numeric counters plus {code: number} /
-/// {function: number} breakdown maps. Replayed witness verdicts must add
-/// up to the witness count (every witness gets exactly one verdict) when
-/// any replay counter is non-zero.
-std::string check_lint_section(const Value& lint) {
-  const Object* top = lint.object();
-  if (top == nullptr) return "'lint' is not an object";
-
-  for (const char* key :
-       {"programs", "functions_verified", "diagnostics", "witnesses",
-        "replays_confirmed", "replays_refuted", "replays_unconfirmed"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'lint.") + key + "' missing or not a number";
-    }
-  }
-
-  const double witnesses = std::get<double>(find(*top, "witnesses")->data);
-  const double replays =
-      std::get<double>(find(*top, "replays_confirmed")->data) +
-      std::get<double>(find(*top, "replays_refuted")->data) +
-      std::get<double>(find(*top, "replays_unconfirmed")->data);
-  if (replays != 0 && replays != witnesses) {
+/// Replayed witness verdicts must add up to the witness count (every
+/// witness gets exactly one verdict) when any replay counter is non-zero.
+std::string check_identities(const LintSection&, const Object& top) {
+  const double replays = num(top, "replays_confirmed") +
+                         num(top, "replays_refuted") +
+                         num(top, "replays_unconfirmed");
+  if (replays != 0 && replays != num(top, "witnesses")) {
     return "'lint' replay verdicts do not cover every witness";
   }
-
-  for (const char* key : {"findings_by_code", "findings_by_function"}) {
-    const Value* counters = find(*top, key);
-    if (counters == nullptr || counters->object() == nullptr) {
-      return std::string("'lint.") + key + "' missing or not an object";
-    }
-    for (const auto& [name, value] : *counters->object()) {
-      if (!value.is_number()) {
-        return std::string("'lint.") + key + "." + name +
-               "' is not a number";
-      }
-    }
-  }
   return {};
 }
 
-/// Validate the optional "topology" section (multi-tier serving topology
-/// totals, see docs/bench-output.md): numeric totals with the accounting
-/// identities (completed + dropped + failed == requests; goodput +
+/// Totals: completed + dropped + failed == requests; goodput +
 /// deadline_missed == completed; faults_delivered <= plan_entries_drawn;
-/// attempts_run >= forks; cow_pages_run >= cow_pages_copied),
-/// a {cause: number} "drops" map, and a {tag: entry} "configs" map whose
-/// entries carry per-phase goodput (goodput <= arrivals per phase) and a
-/// monotone latency summary.
-std::string check_topology_section(const Value& topology) {
-  const Object* top = topology.object();
-  if (top == nullptr) return "'topology' is not an object";
-
-  for (const char* key :
-       {"requests", "completed", "dropped", "failed", "goodput",
-        "deadline_missed", "crashed_attempts", "retries",
-        "retry_budget_denied", "hedges", "breaker_trips", "breaker_probes",
-        "forks", "cow_pages_copied", "backoff_cycles", "gauge_samples",
-        "attempts_run", "cow_pages_run", "plan_entries_drawn",
-        "faults_delivered"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'topology.") + key + "' missing or not a number";
-    }
-  }
-  if (find(*top, "completed")->number() + find(*top, "dropped")->number() +
-          find(*top, "failed")->number() !=
-      find(*top, "requests")->number()) {
+/// attempts_run >= forks; cow_pages_run >= cow_pages_copied; the drop
+/// causes sum to dropped + failed. Per config: goodput <= arrivals per
+/// phase and a monotone latency summary.
+std::string check_identities(const TopologySection&, const Object& top) {
+  if (num(top, "completed") + num(top, "dropped") + num(top, "failed") !=
+      num(top, "requests")) {
     return "'topology' terminal accounting broken "
            "(completed + dropped + failed != requests)";
   }
-  if (find(*top, "goodput")->number() +
-          find(*top, "deadline_missed")->number() !=
-      find(*top, "completed")->number()) {
+  if (num(top, "goodput") + num(top, "deadline_missed") !=
+      num(top, "completed")) {
     return "'topology' goodput accounting broken "
            "(goodput + deadline_missed != completed)";
   }
-  if (find(*top, "faults_delivered")->number() >
-      find(*top, "plan_entries_drawn")->number()) {
+  if (num(top, "faults_delivered") > num(top, "plan_entries_drawn")) {
     return "'topology' fault accounting broken "
            "(faults_delivered > plan_entries_drawn)";
   }
-  if (find(*top, "attempts_run")->number() < find(*top, "forks")->number()) {
+  if (num(top, "attempts_run") < num(top, "forks")) {
     return "'topology' attempt accounting broken (attempts_run < forks)";
   }
-  if (find(*top, "cow_pages_run")->number() <
-      find(*top, "cow_pages_copied")->number()) {
+  if (num(top, "cow_pages_run") < num(top, "cow_pages_copied")) {
     return "'topology' CoW accounting broken "
            "(cow_pages_run < cow_pages_copied)";
   }
-
-  const Value* drops = find(*top, "drops");
-  if (drops == nullptr || drops->object() == nullptr) {
-    return "'topology.drops' missing or not an object";
-  }
   double drop_sum = 0;
-  for (const auto& [cause, value] : *drops->object()) {
-    if (!value.is_number()) {
-      return "'topology.drops." + cause + "' is not a number";
-    }
+  for (const auto& [cause, value] : *find(top, "drops")->object()) {
     drop_sum += value.number();
   }
-  if (drop_sum !=
-      find(*top, "dropped")->number() + find(*top, "failed")->number()) {
+  if (drop_sum != num(top, "dropped") + num(top, "failed")) {
     return "'topology.drops' causes do not sum to dropped + failed";
   }
 
-  const Value* configs = find(*top, "configs");
-  if (configs == nullptr || configs->object() == nullptr) {
-    return "'topology.configs' missing or not an object";
-  }
-  for (const auto& [tag, value] : *configs->object()) {
+  for (const auto& [tag, value] : *find(top, "configs")->object()) {
     const std::string where = "'topology.configs." + tag + "'";
-    const Object* entry = value.object();
-    if (entry == nullptr) return where + " is not an object";
-    for (const char* key :
-         {"requests", "completed", "dropped", "failed", "goodput",
-          "deadline_missed", "crashed_attempts", "retries",
-          "breaker_trips"}) {
-      const Value* v = find(*entry, key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " lacks numeric '" + key + "'";
-      }
-    }
-
-    const Value* phases = find(*entry, "phases");
-    if (phases == nullptr || phases->object() == nullptr) {
-      return where + " lacks object 'phases'";
-    }
+    const Object& phases = *find(*value.object(), "phases")->object();
     for (const char* phase : {"pre_storm", "storm", "post_storm"}) {
-      const Value* p = find(*phases->object(), phase);
-      if (p == nullptr || p->object() == nullptr) {
-        return where + " lacks phase object '" + phase + "'";
-      }
-      const Value* arrivals = find(*p->object(), "arrivals");
-      const Value* goodput = find(*p->object(), "goodput");
-      if (arrivals == nullptr || !arrivals->is_number() ||
-          goodput == nullptr || !goodput->is_number()) {
-        return where + " phase '" + phase +
-               "' lacks numeric arrivals/goodput";
-      }
-      if (goodput->number() > arrivals->number()) {
+      const Object& counts = *find(phases, phase)->object();
+      if (num(counts, "goodput") > num(counts, "arrivals")) {
         return where + " phase '" + phase + "' goodput exceeds arrivals";
       }
     }
-
-    const Value* latency = find(*entry, "latency");
-    if (latency == nullptr || latency->object() == nullptr) {
-      return where + " lacks object 'latency'";
-    }
-    for (const char* key : {"p50", "p90", "p99", "p999", "max", "count"}) {
-      const Value* v = find(*latency->object(), key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " latency lacks numeric '" + key + "'";
-      }
-    }
-    const Object& summary = *latency->object();
-    const double p50 = find(summary, "p50")->number();
-    const double p90 = find(summary, "p90")->number();
-    const double p99 = find(summary, "p99")->number();
-    const double p999 = find(summary, "p999")->number();
-    const double max = find(summary, "max")->number();
-    const double count = find(summary, "count")->number();
-    if (count > 0 && !(p50 <= p90 && p90 <= p99 && p99 <= p999)) {
+    const Object& latency = *find(*value.object(), "latency")->object();
+    const double p999 = num(latency, "p999");
+    const double max = num(latency, "max");
+    if (num(latency, "count") > 0 &&
+        !(num(latency, "p50") <= num(latency, "p90") &&
+          num(latency, "p90") <= num(latency, "p99") &&
+          num(latency, "p99") <= p999)) {
       return where + " latency percentiles are not monotone";
     }
-    if (count > 0 && p999 > max + max / 32 + 1) {
+    if (num(latency, "count") > 0 && p999 > max + max / 32 + 1) {
       return where + " latency p999 exceeds max beyond bucket rounding";
     }
   }
   return {};
 }
 
-/// Validate the optional "kernels" section (synthetic-kernel overhead
-/// surface, see docs/bench-output.md): numeric totals, and a {tag: entry}
-/// "entries" map — keys "<family>/<point>/<scheme>" — whose entries carry
-/// the cycle/instruction/call counts with consistent derived ratios
-/// (cycles_per_instruction == cycles / instructions within rounding).
-std::string check_kernels_section(const Value& kernels) {
-  const Object* top = kernels.object();
-  if (top == nullptr) return "'kernels' is not an object";
-
-  for (const char* key : {"kernels", "schemes", "runs", "total_cycles",
-                          "total_instructions"}) {
-    const Value* v = find(*top, key);
-    if (v == nullptr || !v->is_number()) {
-      return std::string("'kernels.") + key + "' missing or not a number";
-    }
-  }
-
-  const Value* entries = find(*top, "entries");
-  if (entries == nullptr || entries->object() == nullptr) {
-    return "'kernels.entries' missing or not an object";
-  }
-  const double expected_entries =
-      find(*top, "kernels")->number() * find(*top, "schemes")->number();
-  if (static_cast<double>(entries->object()->size()) != expected_entries) {
+/// len(entries) == kernels x schemes, keys "<family>/<point>/<scheme>";
+/// per entry instructions <= cycles, calls <= instructions and
+/// cycles_per_instruction == cycles / instructions within rounding;
+/// total_cycles sums the entries.
+std::string check_identities(const KernelsSection&, const Object& top) {
+  const Object& entries = *find(top, "entries")->object();
+  if (static_cast<double>(entries.size()) !=
+      num(top, "kernels") * num(top, "schemes")) {
     return "'kernels.entries' size != kernels x schemes";
   }
-
   double cycle_sum = 0;
-  for (const auto& [tag, value] : *entries->object()) {
+  for (const auto& [tag, value] : entries) {
     const std::string where = "'kernels.entries." + tag + "'";
     if (tag.find('/') == std::string::npos) {
       return where + " key is not <family>/<point>/<scheme>";
     }
-    const Object* entry = value.object();
-    if (entry == nullptr) return where + " is not an object";
-    for (const char* key :
-         {"functions", "static_calls", "static_depth", "cycles",
-          "instructions", "calls", "pa_instructions", "chain_pushes",
-          "overhead_percent", "cycles_per_call", "cycles_per_instruction"}) {
-      const Value* v = find(*entry, key);
-      if (v == nullptr || !v->is_number()) {
-        return where + " lacks numeric '" + key + "'";
-      }
-    }
-    const double cycles = find(*entry, "cycles")->number();
-    const double instructions = find(*entry, "instructions")->number();
-    const double calls = find(*entry, "calls")->number();
+    const Object& entry = *value.object();
+    const double cycles = num(entry, "cycles");
+    const double instructions = num(entry, "instructions");
     if (instructions > cycles) {
       return where + " instructions exceed cycles (costs are >= 1/instr)";
     }
-    if (calls > instructions) {
+    if (num(entry, "calls") > instructions) {
       return where + " dynamic calls exceed retired instructions";
     }
-    const double cpi = find(*entry, "cycles_per_instruction")->number();
+    const double cpi = num(entry, "cycles_per_instruction");
     if (instructions > 0 && std::fabs(cpi - cycles / instructions) > 1e-9) {
       return where + " cycles_per_instruction != cycles / instructions";
     }
     cycle_sum += cycles;
   }
-  if (cycle_sum != find(*top, "total_cycles")->number()) {
+  if (cycle_sum != num(top, "total_cycles")) {
     return "'kernels.total_cycles' does not sum the entries";
   }
   return {};
 }
 
+/// One default-constructed value of every Section alternative.
+template <std::size_t... I>
+std::vector<Section> every_section(std::index_sequence<I...>) {
+  return {Section(std::in_place_index<I>)...};
+}
+
 }  // namespace
 
-/// Validate one trajectory file against the docs/bench-output.md schema.
-/// Returns an empty string on success, else the reason.
 std::string check_trajectory(const Value& root) {
   const Object* top = root.object();
   if (top == nullptr) return "top level is not an object";
@@ -872,33 +538,18 @@ std::string check_trajectory(const Value& root) {
     if (!error.empty()) return error;
   }
 
-  if (const Value* faults = find(*top, "faults")) {
-    std::string error = check_faults_section(*faults);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* fuzz = find(*top, "fuzz")) {
-    std::string error = check_fuzz_section(*fuzz);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* sim = find(*top, "sim")) {
-    std::string error = check_sim_section(*sim);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* lint = find(*top, "lint")) {
-    std::string error = check_lint_section(*lint);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* topology = find(*top, "topology")) {
-    std::string error = check_topology_section(*topology);
-    if (!error.empty()) return error;
-  }
-
-  if (const Value* kernels = find(*top, "kernels")) {
-    std::string error = check_kernels_section(*kernels);
+  static const std::vector<Section> kSections =
+      every_section(std::make_index_sequence<std::variant_size_v<Section>>{});
+  for (const Section& kind : kSections) {
+    std::string error;
+    std::visit(
+        [&](const auto& s) {
+          const Value* section = find(*top, s.kName);
+          if (section == nullptr) return;
+          error = check_value(section, s, s.kName);
+          if (error.empty()) error = check_identities(s, *section->object());
+        },
+        kind);
     if (!error.empty()) return error;
   }
 
