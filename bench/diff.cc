@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace acs::bench {
 namespace {
@@ -65,35 +66,6 @@ double relative_change(double baseline, double current) {
   const double scale = std::max(std::fabs(baseline), std::fabs(current));
   if (scale == 0) return 0;
   return std::fabs(current - baseline) / scale;
-}
-
-std::string fmt_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
-
-/// JSON string escaping for key paths (metric names are printable ASCII,
-/// but a checker must not trust its inputs).
-std::string escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -173,7 +145,7 @@ std::string verdict_json(const DiffResult& result,
   std::ostringstream out;
   out << "{\n"
       << "  \"verdict\": \"" << (result.ok() ? "ok" : "regression") << "\",\n"
-      << "  \"threshold\": " << fmt_double(options.threshold) << ",\n"
+      << "  \"threshold\": " << format_double(options.threshold) << ",\n"
       << "  \"compared\": " << result.compared << ",\n"
       << "  \"ignored\": " << result.ignored << ",\n"
       << "  \"added\": " << result.added << ",\n"
@@ -181,10 +153,10 @@ std::string verdict_json(const DiffResult& result,
   for (std::size_t i = 0; i < result.regressions.size(); ++i) {
     const Regression& r = result.regressions[i];
     out << (i == 0 ? "\n" : ",\n")
-        << "    {\"key\": \"" << escape(r.key) << "\", "
-        << "\"baseline\": " << fmt_double(r.baseline) << ", "
-        << "\"current\": " << fmt_double(r.current) << ", "
-        << "\"relative_change\": " << fmt_double(r.relative_change) << ", "
+        << "    {\"key\": \"" << json_escape(r.key) << "\", "
+        << "\"baseline\": " << format_double(r.baseline) << ", "
+        << "\"current\": " << format_double(r.current) << ", "
+        << "\"relative_change\": " << format_double(r.relative_change) << ", "
         << "\"missing\": " << (r.missing ? "true" : "false") << "}";
   }
   out << (result.regressions.empty() ? "]\n" : "\n  ]\n") << "}\n";

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/json.h"
+
 namespace acs::obs {
 
 Histogram::Histogram(std::vector<u64> edges)
@@ -85,23 +87,6 @@ void Metrics::merge(const Metrics& other, const std::string& prefix) {
 
 namespace {
 
-/// Counter/histogram names are code-controlled identifiers, but escape the
-/// JSON-special characters anyway so hand-built names can never corrupt a
-/// trajectory file.
-[[nodiscard]] std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // control characters have no business in a metric name
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 [[nodiscard]] std::string list_json(const std::vector<u64>& values) {
   std::string out = "[";
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -122,7 +107,7 @@ std::string Metrics::to_json(int indent) const {
   for (const auto& [name, value] : counters_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += pad + "    \"" + escape(name) + "\": " + std::to_string(value);
+    out += pad + "    \"" + json_escape(name) + "\": " + std::to_string(value);
   }
   out += counters_.empty() ? "},\n" : "\n" + pad + "  },\n";
   out += pad + "  \"histograms\": {";
@@ -130,7 +115,7 @@ std::string Metrics::to_json(int indent) const {
   for (const auto& [name, hist] : histograms_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += pad + "    \"" + escape(name) + "\": {\"edges\": " +
+    out += pad + "    \"" + json_escape(name) + "\": {\"edges\": " +
            list_json(hist.edges()) + ", \"counts\": " +
            list_json(hist.counts()) + "}";
   }

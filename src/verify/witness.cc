@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/json.h"
 #include "kernel/syscalls.h"
 #include "verify/cfg.h"
 
@@ -374,12 +375,7 @@ class Synthesizer {
 };
 
 void append_escaped(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
+  out << '"' << json_escape(s) << '"';
 }
 
 }  // namespace
