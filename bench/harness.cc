@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <type_traits>
 #include <utility>
 
@@ -557,6 +558,7 @@ std::string check_trajectory(const Value& root) {
   if (metrics == nullptr) return "missing key 'metrics'";
   const Array* list = metrics->array();
   if (list == nullptr) return "'metrics' is not an array";
+  std::set<std::string> names;  // acs-bench-diff keys records by name
   for (std::size_t i = 0; i < list->size(); ++i) {
     const Object* metric = (*list)[i].object();
     const std::string where = "metrics[" + std::to_string(i) + "]";
@@ -572,6 +574,10 @@ std::string check_trajectory(const Value& root) {
       if (v == nullptr || !v->is_number()) {
         return where + " lacks numeric '" + key + "'";
       }
+    }
+    const std::string& name = find(*metric, "name")->string();
+    if (!names.insert(name).second) {
+      return where + " repeats metric name '" + name + "'";
     }
   }
   return {};

@@ -323,6 +323,22 @@ TEST(CheckTrajectory, RejectsBrokenTopLevelAndMetrics) {
             std::string::npos);
 }
 
+TEST(CheckTrajectory, RejectsDuplicateMetricNames) {
+  // acs-bench-diff keys records by name, so a repeated name would hide
+  // every record before the last from the comparison.
+  const std::string head = R"({"bench": "b", "schema_version": 1,
+      "threads": 1, "seed": 0, "smoke": true, "wall_seconds": 0,
+      "metrics": [{"name": "x", "value": 1, "units": "u", "trials": 0,
+                   "stddev": 0}, )";
+  EXPECT_EQ(check_text(head + R"({"name": "y", "value": 900, "units": "u",
+      "trials": 0, "stddev": 0}]})"),
+            "");
+  EXPECT_NE(check_text(head + R"({"name": "x", "value": 900, "units": "u",
+      "trials": 0, "stddev": 0}]})")
+                .find("metrics[1] repeats metric name 'x'"),
+            std::string::npos);
+}
+
 // --- Round trip: to_json -> parse -> check_trajectory and compare. ---
 
 /// Fills every field with a distinct non-zero value; keyed maps get two
