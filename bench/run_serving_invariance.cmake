@@ -1,8 +1,8 @@
 # Pins the thread-invariance determinism contract shared by the campaign
 # benches (bench_fault_availability, bench_sim_throughput,
-# bench_serving_topology, bench_kernel_sweep): the JSON trajectory —
-# including every deterministic section ("obs", "faults", "sim",
-# "topology", "kernels") — must be bitwise identical for
+# bench_serving_topology, bench_kernel_sweep) and acs-fuzz: the JSON
+# trajectory — including every deterministic section ("obs", "faults",
+# "fuzz", "sim", "topology", "kernels") — must be bitwise identical for
 # --threads 1, 2 and 8. Only host timing (wall_seconds) and the echoed
 # thread count may differ, so both lines are always stripped before
 # comparing; benches that additionally report host-timed rates (e.g. the
@@ -15,12 +15,16 @@
 # so every numeric leaf but the host-timing keys must match exactly.
 # Inputs: -DBENCH=<bench binary> -DJSON_DIR=<scratch dir>
 #         -DPREFIX=<output-file prefix, e.g. "topology">
+#         [-DBENCH_ARGS=<;-list of arguments, default --smoke>]
 #         [-DSTRIP_FIELDS=<;-list of host-timed field names to strip>]
 #         [-DDIFF=<acs-bench-diff> -DREFERENCE=<baseline json>]
 
 if(NOT DEFINED BENCH OR NOT DEFINED JSON_DIR OR NOT DEFINED PREFIX)
   message(FATAL_ERROR
           "run_serving_invariance.cmake needs BENCH, JSON_DIR and PREFIX")
+endif()
+if(NOT DEFINED BENCH_ARGS)
+  set(BENCH_ARGS --smoke)
 endif()
 if(NOT DEFINED STRIP_FIELDS)
   set(STRIP_FIELDS "")
@@ -31,7 +35,7 @@ foreach(threads 1 2 8)
   set(json "${JSON_DIR}/BENCH_${PREFIX}_invariance_t${threads}.json")
   file(REMOVE "${json}")
   execute_process(
-    COMMAND "${BENCH}" --smoke "--threads=${threads}" "--json=${json}"
+    COMMAND "${BENCH}" ${BENCH_ARGS} "--threads=${threads}" "--json=${json}"
     RESULT_VARIABLE bench_rc
     OUTPUT_VARIABLE bench_out
     ERROR_VARIABLE bench_err
