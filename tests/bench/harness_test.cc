@@ -154,6 +154,31 @@ TEST(BenchReporter, SetObsMetricsReachesTheJsonFile) {
   std::remove(path.c_str());
 }
 
+TEST(BenchReporter, SetSectionReplacesASectionOfTheSameType) {
+  const std::string path = ::testing::TempDir() + "/acs_harness_sections.json";
+  std::remove(path.c_str());
+  BenchOptions options;
+  options.json_path = path;
+  BenchReporter reporter("bench_unit", options, 7);
+  reporter.set_section(FaultSection{.restarts = 1});
+  reporter.set_section(SimSection{.instructions = 5});
+  reporter.set_section(FaultSection{.restarts = 2});
+  ASSERT_TRUE(reporter.finish());
+
+  std::ifstream file(path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  const std::string body = buffer.str();
+  EXPECT_EQ(body.find("\"restarts\": 1"), std::string::npos) << body;
+  const auto faults = body.find("\"faults\": {\n    \"injected\": {},");
+  EXPECT_NE(faults, std::string::npos) << body;
+  EXPECT_NE(body.find("\"restarts\": 2"), std::string::npos) << body;
+  const auto sim = body.find("\"sim\": {\n    \"instructions\": 5,");
+  EXPECT_NE(sim, std::string::npos) << body;
+  EXPECT_LT(faults, sim);  // a replaced section keeps its place
+  std::remove(path.c_str());
+}
+
 TEST(WriteFile, ReportsFailureForUnwritablePath) {
   EXPECT_FALSE(write_file("/nonexistent-dir-for-acs-test/x", "body", "ctx"));
   const std::string path = ::testing::TempDir() + "/acs_write_file.txt";
